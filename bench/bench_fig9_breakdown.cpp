@@ -44,7 +44,9 @@ struct Workload {
 
 struct WorkloadResult {
   const Workload* w = nullptr;
-  uint64_t packets = 0;
+  uint64_t packets = 0;   // transmitted
+  uint64_t injected = 0;
+  uint64_t drops = 0;     // NIC rings and elements
   uint64_t bytes = 0;
   double pipeline_cycles_per_packet = 0;  // profiled roots / packets
   double wall_mpps = 0;
@@ -143,13 +145,14 @@ WorkloadResult RunWorkload(const Workload& w, int packets, bool compile_programs
   int burst_idx = 0;
   rb::PacketBatch inject_batch;
   while (done < packets) {
-    // Inject four bursts (one 1024-packet chunk, 512 per port: exactly one
-    // 512-entry rx ring each) before running the graph, so scheduler
-    // wakeups are paid per chunk, not per burst. harness/inject covers
-    // only frame generation; handing frames to the NIC is modeled device
-    // work (RSS steering, descriptor staging) and is accounted under
-    // netdev/ like the tx path already is.
-    for (int b = 0; b < 4 && done < packets; ++b) {
+    // Inject two bursts (one 512-packet chunk, 256 per port) before
+    // running the graph, so scheduler wakeups are paid per chunk, not per
+    // burst. A chunk fits one 512-entry tx ring even when routing sends
+    // all of it to one port; a larger one overflows the ring and drops.
+    // harness/inject covers only frame generation; handing frames to the
+    // NIC is modeled device work (RSS steering, descriptor staging) and is
+    // accounted under netdev/ like the tx path already is.
+    for (int b = 0; b < 2 && done < packets; ++b) {
       uint32_t want = static_cast<uint32_t>(
           std::min<int>(static_cast<int>(rb::PacketBatch::kCapacity), packets - done));
       uint32_t got;
@@ -175,6 +178,14 @@ WorkloadResult RunWorkload(const Workload& w, int packets, bool compile_programs
   }
   const uint64_t raw_cycles = tele::ReadCycles() - t0;
   out.bytes = injector.injected_bytes() - warm_bytes;
+  out.injected = static_cast<uint64_t>(done);
+  for (int port = 0; port < cfg.num_ports; ++port) {
+    out.drops += router.port(port).rx_counters().drops.load() +
+                 router.port(port).tx_counters().drops.load();
+  }
+  for (const auto& e : router.graph().elements()) {
+    out.drops += e->drops();
+  }
   out.perf = perf.Stop();
   tele::SetProfiler(nullptr);
 
@@ -206,6 +217,18 @@ WorkloadResult RunWorkload(const Workload& w, int packets, bool compile_programs
   mw.per_packet = rb::LoadsFor(model);
   out.verdict = tele::AnalyzeBottleneck(mw, model.spec);
   return out;
+}
+
+// Cycles/packet divide by transmitted packets, so every injected one must
+// be transmitted or counted as a drop.
+bool LedgerHolds(const WorkloadResult& r) {
+  if (r.injected == r.packets + r.drops) {
+    return true;
+  }
+  fprintf(stderr, "%s: injected %llu != transmitted %llu + dropped %llu\n", r.w->key,
+          static_cast<unsigned long long>(r.injected), static_cast<unsigned long long>(r.packets),
+          static_cast<unsigned long long>(r.drops));
+  return false;
 }
 
 void WriteBenchJson(const std::string& path, const std::vector<WorkloadResult>& results) {
@@ -322,13 +345,19 @@ int main(int argc, char** argv) {
   // transient host-steal window then taxes at most one repeat of each
   // workload instead of every sample of whichever workload it landed on.
   const int reps = *repeats > 0 ? static_cast<int>(*repeats) : 1;
+  bool ledger_ok = true;
+  auto run = [&](const Workload& w) {
+    WorkloadResult r = RunWorkload(w, n, *compile);
+    ledger_ok = LedgerHolds(r) && ledger_ok;
+    return r;
+  };
   std::vector<WorkloadResult> results;
   for (const Workload& w : workloads) {
-    results.push_back(RunWorkload(w, n, *compile));
+    results.push_back(run(w));
   }
   for (int r = 1; r < reps; ++r) {
     for (size_t i = 0; i < std::size(workloads); ++i) {
-      WorkloadResult cand = RunWorkload(workloads[i], n, *compile);
+      WorkloadResult cand = run(workloads[i]);
       if (cand.pipeline_cycles_per_packet < results[i].pipeline_cycles_per_packet) {
         results[i] = std::move(cand);
       }
@@ -377,5 +406,5 @@ int main(int argc, char** argv) {
   }
   rb::MaybeWriteMetrics(*metrics_out);
   rb::telemetry::FlightRecorder::Install(nullptr);
-  return 0;
+  return ledger_ok ? 0 : 1;
 }

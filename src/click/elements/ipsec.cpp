@@ -21,19 +21,17 @@ telemetry::ScopeId DecryptPhase() {
 IpsecEncrypt::IpsecEncrypt(const EspConfig& config) : BatchElement(1, 2), tunnel_(config) {}
 
 void IpsecEncrypt::PushBatch(int /*port*/, PacketBatch& batch) {
-  PacketBatch ok;
-  PacketBatch fail;
+  bool encapsulated[PacketBatch::kCapacity];
   {
 #if defined(RB_PROFILE) && RB_PROFILE
     RB_PROF_SCOPE(EncryptPhase());
 #endif
-    for (Packet* p : batch) {
-      if (tunnel_.Encapsulate(p)) {
-        ok.PushBack(p);
-      } else {
-        fail.PushBack(p);
-      }
-    }
+    tunnel_.EncapsulateBatch(batch.begin(), batch.size(), encapsulated);
+  }
+  PacketBatch ok;
+  PacketBatch fail;
+  for (uint32_t i = 0; i < batch.size(); ++i) {
+    (encapsulated[i] ? ok : fail).PushBack(batch[i]);
   }
   batch.Clear();
   encrypted_ += ok.size();

@@ -1,7 +1,9 @@
 // IPsec elements: IpsecEncrypt wraps frames in an ESP tunnel (the §5.1
 // IPsec application — AES-128 on every packet); IpsecDecrypt reverses it.
 // Encapsulation failures (non-IPv4, no room) exit output 1 when wired.
-// Batch-native: one ESP phase scope covers the whole burst of crypto.
+// Batch-native: one ESP phase scope covers the whole burst of crypto, and
+// IpsecEncrypt hands the burst to EspTunnel::EncapsulateBatch so that its
+// packets are encrypted abreast.
 #ifndef RB_CLICK_ELEMENTS_IPSEC_HPP_
 #define RB_CLICK_ELEMENTS_IPSEC_HPP_
 

@@ -29,6 +29,9 @@ void PatchL4(uint8_t* l4, uint8_t protocol, uint32_t old_ip, uint32_t new_ip,
   uint16_t csum = LoadBe16(l4 + csum_offset);
   csum = ChecksumUpdate32(csum, old_ip, new_ip);  // pseudo-header address
   csum = ChecksumUpdate16(csum, old_port, new_port);
+  if (protocol == Ipv4View::kProtoUdp && csum == 0) {
+    csum = 0xffff;  // RFC 768: a zero field would mean "no checksum"
+  }
   StoreBe16(l4 + csum_offset, csum);
   StoreBe16(l4 + port_offset, new_port);
 }

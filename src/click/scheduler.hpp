@@ -7,10 +7,11 @@
 // in a polling loop (no blocking — Click polling mode), and stops on
 // request.
 //
-// On the single-vCPU container all workers timeshare one physical CPU, so
-// wall-clock throughput is not meaningful — but the concurrency behaviour
-// (SPSC ring handoff, per-queue single-writer discipline) is real and is
-// what the functional tests exercise.
+// Workers are real threads and run in parallel on a host with enough
+// cores. Their wall-clock scaling is not measured yet: the single-server
+// graph shares one PacketPool, which is not thread-safe (DESIGN.md §2).
+// What the functional tests exercise is the concurrency behaviour (SPSC
+// ring handoff, per-queue single-writer discipline).
 #ifndef RB_CLICK_SCHEDULER_HPP_
 #define RB_CLICK_SCHEDULER_HPP_
 

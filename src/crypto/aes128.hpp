@@ -1,11 +1,12 @@
 // AES-128 block cipher, implemented from FIPS-197.
 //
 // The paper's IPsec application encrypts every packet with AES-128 "as is
-// typical in VPNs" (§5.1). This is a straightforward, constant-table
-// software implementation (S-box + MixColumns over GF(2^8)); it is the
-// CPU-intensive workload of the evaluation, so all we need is a correct,
-// reasonably efficient cipher — not a vectorized one (the paper's numbers
-// predate AES-NI).
+// typical in VPNs" (§5.1). This is the portable, byte-wise implementation
+// (S-box + MixColumns over GF(2^8)), one block at a time. It is the only
+// cipher on CPUs without AES-NI and the reference the AES-NI kernels in
+// aesni.cpp are tested against; AesCbc (cbc.hpp) picks between the two.
+// Its FIPS-197 key expansion is shared by both: the expanded schedule's
+// byte layout is exactly the round-key layout `aesenc` consumes.
 #ifndef RB_CRYPTO_AES128_HPP_
 #define RB_CRYPTO_AES128_HPP_
 
@@ -26,6 +27,10 @@ class Aes128 {
   // Encrypts/decrypts exactly one 16-byte block. in and out may alias.
   void EncryptBlock(const uint8_t in[kBlockSize], uint8_t out[kBlockSize]) const;
   void DecryptBlock(const uint8_t in[kBlockSize], uint8_t out[kBlockSize]) const;
+
+  // The expanded encryption schedule: (kRounds + 1) round keys of 16 bytes,
+  // round 0 first.
+  const uint8_t* round_keys() const { return round_keys_.data(); }
 
  private:
   // Round keys: (kRounds + 1) * 16 bytes.

@@ -3,10 +3,49 @@
 #include <cstring>
 
 #include "common/log.hpp"
+#include "crypto/aesni.hpp"
 
 namespace rb {
 
+AesCbc::AesCbc(const uint8_t key[Aes128::kKeySize]) : cipher_(key), aesni_(aesni::Supported()) {
+  if (aesni_) {
+    aesni::ExpandDecryptKeys(cipher_.round_keys(), dec_keys_.data());
+  }
+}
+
 void AesCbc::Encrypt(uint8_t* data, size_t len, const uint8_t iv[Aes128::kBlockSize]) const {
+  if (!aesni_) {
+    EncryptPortable(data, len, iv);
+    return;
+  }
+  RB_CHECK(len % Aes128::kBlockSize == 0);
+  aesni::CbcEncrypt(cipher_.round_keys(), data, len, iv);
+}
+
+void AesCbc::Decrypt(uint8_t* data, size_t len, const uint8_t iv[Aes128::kBlockSize]) const {
+  if (!aesni_) {
+    DecryptPortable(data, len, iv);
+    return;
+  }
+  RB_CHECK(len % Aes128::kBlockSize == 0);
+  aesni::CbcDecrypt(dec_keys_.data(), data, len, iv);
+}
+
+void AesCbc::EncryptMany(CbcStream* streams, size_t n) const {
+  if (!aesni_ || n == 1) {
+    for (size_t i = 0; i < n; ++i) {
+      Encrypt(streams[i].data, streams[i].len, streams[i].iv);
+    }
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    RB_CHECK(streams[i].len % Aes128::kBlockSize == 0);
+  }
+  aesni::CbcEncryptMany(cipher_.round_keys(), streams, n);
+}
+
+void AesCbc::EncryptPortable(uint8_t* data, size_t len,
+                             const uint8_t iv[Aes128::kBlockSize]) const {
   RB_CHECK(len % Aes128::kBlockSize == 0);
   uint8_t chain[Aes128::kBlockSize];
   memcpy(chain, iv, sizeof(chain));
@@ -19,7 +58,8 @@ void AesCbc::Encrypt(uint8_t* data, size_t len, const uint8_t iv[Aes128::kBlockS
   }
 }
 
-void AesCbc::Decrypt(uint8_t* data, size_t len, const uint8_t iv[Aes128::kBlockSize]) const {
+void AesCbc::DecryptPortable(uint8_t* data, size_t len,
+                             const uint8_t iv[Aes128::kBlockSize]) const {
   RB_CHECK(len % Aes128::kBlockSize == 0);
   uint8_t chain[Aes128::kBlockSize];
   uint8_t next_chain[Aes128::kBlockSize];

@@ -8,28 +8,50 @@ namespace rb {
 
 EspTunnel::EspTunnel(const EspConfig& config) : config_(config), cbc_(config.key) {}
 
-bool EspTunnel::Encapsulate(Packet* p) {
-  if (p->length() < EthernetView::kSize + Ipv4View::kMinSize) {
-    return false;
-  }
-  EthernetView eth{p->data()};
-  if (eth.ether_type() != EthernetView::kTypeIpv4) {
-    return false;
-  }
-  // Save the Ethernet header, then strip it; ESP operates on the IP packet.
-  uint8_t saved_eth[EthernetView::kSize];
-  memcpy(saved_eth, p->data(), EthernetView::kSize);
-  p->Pull(EthernetView::kSize);
+namespace {
 
-  uint32_t inner_len = p->length();
-  // Trailer: pad + pad-length byte + next-header byte.
-  uint32_t pad = static_cast<uint32_t>(CbcPadLength(inner_len, /*esp_trailer=*/true));
-  uint32_t trailer = pad + 2;
-  if (p->tailroom() < trailer) {
-    p->Push(EthernetView::kSize);  // restore before failing
+// Bytes encapsulation prepends in front of the IP packet.
+constexpr uint32_t kPrepended =
+    Ipv4View::kMinSize + EspTunnel::kEspHeaderBytes + EspTunnel::kIvBytes;
+
+}  // namespace
+
+bool EspTunnel::Encapsulate(Packet* p) {
+  bool ok = false;
+  EncapsulateBatch(&p, 1, &ok);
+  return ok;
+}
+
+void EspTunnel::EncapsulateBatch(Packet* const* pkts, size_t n, bool* ok) {
+  streams_.clear();
+  for (size_t i = 0; i < n; ++i) {
+    ok[i] = Frame(pkts[i]);
+  }
+  cbc_.EncryptMany(streams_.data(), streams_.size());
+  const CbcStream* s = streams_.data();
+  for (size_t i = 0; i < n; ++i) {
+    if (ok[i]) {
+      WriteHeaders(pkts[i], (s++)->iv);
+    }
+  }
+}
+
+bool EspTunnel::Frame(Packet* p) {
+  if (p->length() < EthernetView::kSize + Ipv4View::kMinSize ||
+      EthernetView{p->data()}.ether_type() != EthernetView::kTypeIpv4 ||
+      p->headroom() < kPrepended) {
     return false;
   }
-  uint8_t* tail = p->Put(trailer);
+  // ESP operates on the IP packet. Trailer: pad + pad-length byte +
+  // next-header byte.
+  const uint32_t inner_len = p->length() - EthernetView::kSize;
+  const uint32_t pad = static_cast<uint32_t>(CbcPadLength(inner_len, /*esp_trailer=*/true));
+  if (p->tailroom() < pad + 2) {
+    return false;
+  }
+  // The Ethernet header stays in the headroom until WriteHeaders moves it.
+  p->Pull(EthernetView::kSize);
+  uint8_t* tail = p->Put(pad + 2);
   for (uint32_t i = 0; i < pad; ++i) {
     tail[i] = static_cast<uint8_t>(i + 1);  // RFC 4303 monotonic padding
   }
@@ -37,28 +59,29 @@ bool EspTunnel::Encapsulate(Packet* p) {
   tail[pad + 1] = 4;  // next header: IPv4 (tunnel mode)
 
   // IV: counter-derived, unique per packet.
-  uint8_t iv[kIvBytes];
-  uint64_t ctr = iv_counter_++;
-  memset(iv, 0, sizeof(iv));
+  CbcStream& s = streams_.emplace_back();
+  s.data = p->data();
+  s.len = p->length();
+  const uint64_t ctr = iv_counter_++;
   for (int i = 0; i < 8; ++i) {
-    iv[8 + i] = static_cast<uint8_t>(ctr >> (56 - 8 * i));
+    s.iv[8 + i] = static_cast<uint8_t>(ctr >> (56 - 8 * i));
   }
-  cbc_.Encrypt(p->data(), p->length(), iv);
+  return true;
+}
 
-  // Prepend IV, ESP header, outer IP header.
-  uint8_t* ivp = p->Push(kIvBytes);
-  memcpy(ivp, iv, kIvBytes);
-  uint8_t* esp = p->Push(kEspHeaderBytes);
+void EspTunnel::WriteHeaders(Packet* p, const uint8_t iv[kIvBytes]) {
+  const uint8_t* old_eth = p->data() - EthernetView::kSize;
+  const uint16_t tunnel_len = static_cast<uint16_t>(p->length() + kPrepended);
+  uint8_t* front = p->Push(EthernetView::kSize + kPrepended);
+  // Moved before the IV overwrites it; the two ranges cannot overlap.
+  memcpy(front, old_eth, EthernetView::kSize);
+  uint8_t* outer = front + EthernetView::kSize;
+  Ipv4View::WriteDefault(outer, config_.tunnel_src, config_.tunnel_dst, Ipv4View::kProtoEsp,
+                         tunnel_len);
+  uint8_t* esp = outer + Ipv4View::kMinSize;
   StoreBe32(esp, config_.spi);
   StoreBe32(esp + 4, seq_++);
-  uint8_t* outer = p->Push(Ipv4View::kMinSize);
-  Ipv4View::WriteDefault(outer, config_.tunnel_src, config_.tunnel_dst, Ipv4View::kProtoEsp,
-                         static_cast<uint16_t>(p->length()));
-
-  // Restore Ethernet framing around the tunnel packet.
-  uint8_t* eth2 = p->Push(EthernetView::kSize);
-  memcpy(eth2, saved_eth, EthernetView::kSize);
-  return true;
+  memcpy(esp + kEspHeaderBytes, iv, kIvBytes);
 }
 
 bool EspTunnel::Decapsulate(Packet* p) {

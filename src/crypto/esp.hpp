@@ -8,7 +8,9 @@
 #ifndef RB_CRYPTO_ESP_HPP_
 #define RB_CRYPTO_ESP_HPP_
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "crypto/cbc.hpp"
 #include "packet/packet.hpp"
@@ -28,8 +30,15 @@ class EspTunnel {
 
   // Encapsulates the Ethernet+IPv4 frame in place: strips Ethernet,
   // encrypts the IP packet into an ESP tunnel packet, re-adds Ethernet.
-  // Returns false if the packet is not IPv4 or lacks head/tail room.
+  // Returns false, leaving the frame as it was, if the packet is not IPv4
+  // or lacks head/tail room. The n = 1 case of EncapsulateBatch.
   bool Encapsulate(Packet* p);
+
+  // Encapsulates `n` frames; ok[i] is what Encapsulate(pkts[i]) would
+  // return, and the frames, sequence numbers and IVs are those of n
+  // Encapsulate calls in order. All the frames' CBC streams are encrypted
+  // in one AesCbc::EncryptMany call.
+  void EncapsulateBatch(Packet* const* pkts, size_t n, bool* ok);
 
   // Reverses Encapsulate. Returns false on malformed input (wrong SPI,
   // bad padding, truncated frame).
@@ -41,10 +50,18 @@ class EspTunnel {
   static constexpr uint32_t kIvBytes = Aes128::kBlockSize;
 
  private:
+  // Checks one frame and, if it can be encapsulated, strips Ethernet,
+  // appends the ESP trailer and queues its CBC stream with a fresh IV.
+  bool Frame(Packet* p);
+  // Prepends IV, ESP header, outer IPv4 and the frame's own Ethernet
+  // header around the ciphertext.
+  void WriteHeaders(Packet* p, const uint8_t iv[kIvBytes]);
+
   EspConfig config_;
   AesCbc cbc_;
   uint32_t seq_ = 1;
   uint64_t iv_counter_ = 0x5242000000000000ULL;
+  std::vector<CbcStream> streams_;  // per-call scratch, reused
 };
 
 }  // namespace rb

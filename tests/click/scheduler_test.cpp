@@ -182,7 +182,12 @@ TEST(SchedulerTest, WatchdogThreadRunsAlongsideWorkers) {
   for (int spin = 0; spin < 2000 && setup.out->tx_counters().packets < 50; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // The monitor scans every millisecond; allow a loaded host 2 s for one.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (registry.Snapshot().CounterValue("sched/watchdog/checks") == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   sched.Stop();
   EXPECT_EQ(sched.watchdog_stall_events(), 0u);
   EXPECT_GT(registry.Snapshot().CounterValue("sched/watchdog/checks"), 0u)

@@ -150,6 +150,73 @@ TEST_F(StatefulElementsTest, NatInboundReplyRoundTripsToInsideAddress) {
   pool_.Free(in->got[0]);
 }
 
+// RFC 768: a UDP checksum that computes to zero is sent as 0xffff, because
+// a zero field means "no checksum". Each direction runs twice, each time
+// through a fresh Nat that assigns the same mapping: once to learn the
+// rewritten datagram's checksum C, then with C stored in a payload word,
+// which makes the rewritten datagram's checksum compute to exactly zero.
+TEST_F(StatefulElementsTest, NatUdpChecksumThatComesOutZeroIsSentAsAllOnes) {
+  NatOptions opt;
+  opt.capacity = 64;
+  const FlowKey inside{0x0a000001, 0x08080808, 40000, 53, Ipv4View::kProtoUdp};
+  constexpr uint32_t kWordOffset = 42;  // the first UDP payload word
+
+  // The outbound frame, or the reply to it when `inbound`, as the Nat
+  // rewrites it, with `word` in its payload.
+  auto rewritten = [&](bool inbound, uint16_t word) {
+    Router r;
+    auto* nat = r.Add<Nat>(opt);
+    auto* out = r.Add<BatchSink>();
+    auto* in = r.Add<BatchSink>();
+    r.Connect(nat, 0, out, 0);
+    r.Connect(nat, 1, in, 0);
+    r.Initialize();
+    nat->set_clock(&FakeClock);
+    auto push = [&](int port, Packet* p) {
+      StoreBe16(p->data() + kWordOffset, word);
+      FillUdpChecksum(p);
+      PacketBatch batch;
+      batch.PushBack(p);
+      nat->PushBatch(port, batch);
+    };
+    push(0, Frame(&pool_, inside));
+    EXPECT_EQ(out->got.size(), 1u);
+    Packet* translated = out->got.at(0);
+    if (!inbound) {
+      return translated;
+    }
+    Ipv4View ip{translated->data() + EthernetView::kSize};
+    const uint16_t ext_port = UdpView{ip.base + ip.header_length()}.src_port();
+    pool_.Free(translated);
+    push(1, Frame(&pool_, FlowKey{0x08080808, opt.external_ip, 53, ext_port,
+                                  Ipv4View::kProtoUdp}));
+    EXPECT_EQ(in->got.size(), 1u);
+    return in->got.at(0);
+  };
+  // The checksum the datagram should carry, computed from scratch.
+  auto computed = [](Packet* p) {
+    Ipv4View ip{p->data() + EthernetView::kSize};
+    UdpView udp{ip.base + ip.header_length()};
+    const uint16_t field = udp.checksum();
+    FillUdpChecksum(p);
+    const uint16_t fresh = udp.checksum();
+    udp.set_checksum(field);
+    return fresh;
+  };
+
+  for (bool inbound : {false, true}) {
+    Packet* first = rewritten(inbound, 0);
+    const uint16_t c = computed(first);
+    pool_.Free(first);
+    Packet* p = rewritten(inbound, c);
+    Ipv4View ip{p->data() + EthernetView::kSize};
+    EXPECT_EQ(UdpView{ip.base + ip.header_length()}.checksum(), 0xffff)
+        << (inbound ? "inbound" : "outbound") << " rewrite stored a zero UDP checksum";
+    EXPECT_TRUE(UdpChecksumOk(p));
+    pool_.Free(p);
+  }
+}
+
 TEST_F(StatefulElementsTest, NatOverloadEvictsLruAndKeepsForwarding) {
   Router r;
   NatOptions opt;
