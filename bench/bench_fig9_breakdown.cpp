@@ -57,10 +57,11 @@ struct WorkloadResult {
 };
 
 // Drives `packets` 64 B (or Abilene-mix) frames through a 2-port,
-// single-core router with the profiler installed. The three harness scopes
-// (inject / run / drain) make the profiled roots cover the whole drive
-// loop, so attribution_coverage measures what the scope tree explains of
-// the raw cycle delta around the loop.
+// single-core router with the profiler installed. The loop's root scopes
+// (harness/inject, netdev/rx_deliver, sched/run, netdev/tx_drain,
+// packet/free) cover the whole drive loop, so attribution_coverage
+// measures what the scope tree explains of the raw cycle delta around
+// the loop.
 WorkloadResult RunWorkload(const Workload& w, int packets, bool compile_programs) {
   namespace tele = rb::telemetry;
 
@@ -109,7 +110,12 @@ WorkloadResult RunWorkload(const Workload& w, int packets, bool compile_programs
   // RunUntilIdle's self cycles are the Click scheduler's task scan — a
   // real router component, attributed to sched/, not to the harness.
   [[maybe_unused]] const tele::ScopeId run_scope = tele::InternScopeName("sched/run");
-  [[maybe_unused]] const tele::ScopeId drain_scope = tele::InternScopeName("harness/drain");
+  // The tx side of the wire mirrors the rx side: popping transmitted
+  // frames off the tx rings is modeled device work, and recycling them is
+  // the pool's free path (perfbench counts both as router time too), so
+  // harness/* is frame generation only.
+  [[maybe_unused]] const tele::ScopeId tx_drain_scope = tele::InternScopeName("netdev/tx_drain");
+  [[maybe_unused]] const tele::ScopeId free_scope = tele::InternScopeName("packet/free");
 
   tele::Profiler profiler;
   tele::SetProfiler(&profiler);
@@ -119,11 +125,20 @@ WorkloadResult RunWorkload(const Workload& w, int packets, bool compile_programs
   out.w = &w;
   rb::Packet* burst[256];
   auto drain = [&] {
-    RB_PROF_SCOPE(drain_scope);
     for (int port = 0; port < cfg.num_ports; ++port) {
-      size_t n;
-      while ((n = router.DrainPort(port, burst, std::size(burst))) > 0) {
-        router.pool().FreeBulk(burst, n);
+      for (;;) {
+        size_t n;
+        {
+          RB_PROF_SCOPE(tx_drain_scope);
+          n = router.DrainPort(port, burst, std::size(burst));
+        }
+        if (n == 0) {
+          break;
+        }
+        {
+          RB_PROF_SCOPE(free_scope);
+          router.pool().FreeBulk(burst, n);
+        }
         out.packets += n;
       }
     }

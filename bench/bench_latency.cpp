@@ -144,7 +144,6 @@ SweepPoint RunSweepPoint(uint32_t burst, uint64_t total_packets) {
   cfg.cores = 2;
   cfg.app = rb::App::kMinimalForwarding;
   cfg.pool_packets = 16384;
-  cfg.queue_capacity = 4096;  // the sweep measures waiting, not tail drop
 
   rb::telemetry::MetricRegistry registry;
   rb::SingleServerRouter router(cfg);
@@ -195,12 +194,10 @@ SweepPoint RunSweepPoint(uint32_t burst, uint64_t total_packets) {
     router.RunUntilIdle();
     drain();
   }
-  // A full tx ring backpressures ToDevice mid-run; keep alternating
-  // run/drain until the pipeline is truly empty so the (slowest) tail of
-  // the last burst is measured, not stranded.
-  do {
-    router.RunUntilIdle();
-  } while (drain() > 0);
+  // Every round above ran the graph dry and drained the tx rings, so no
+  // packet is left in flight: a waiting packet sits in its rx ring, and a
+  // full tx ring drops (counted in pt.drops below) rather than holding
+  // packets back.
 
   // Merge the per-egress-port histograms the latency plane filled.
   rb::telemetry::RegistrySnapshot snap = registry.Snapshot();

@@ -1,26 +1,31 @@
 // A fuller IP-router scenario: a 256 K-entry table (the paper's size),
 // an Abilene-like traffic mix, multi-queue RSS spreading flows across
 // polling cores, and a throughput-model readout of what this
-// configuration would sustain on the paper's hardware.
+// configuration would sustain on the paper's hardware. The graph runs to
+// completion: each polled burst goes FromDevice -> CheckIPHeader
+// [-> Nat] -> DecIPTTL -> IPLookup -> ToDevice on one core, with no Queue
+// in between (at the default 4 ports x 8 queues: 32 FromDevice polling
+// tasks and 32 ToDevices).
 //
 //   $ ./ip_router [--packets=N] [--ports=P] [--metrics-out=metrics.json]
 //                 [--profile-out=profile.json] [--trace-out=trace.json]
 //                 [--control-socket=ADDR] [--stateful]
 //
 // With --metrics-out, the run's full telemetry lands in one JSON document:
-// per-element packet counters, per-queue drop/occupancy stats, NIC port
-// counters, and a sampled per-hop latency histogram from the path tracer.
+// per-element packet and drop counters, NIC port counters and ring
+// occupancy high-water gauges, and a sampled per-hop latency histogram
+// from the path tracer.
 // With --profile-out, a cycle-accounting profile (task -> element -> phase
 // scope tree with cycles/packet) is written alongside. With --trace-out,
 // the sampled packet paths land as Chrome/Perfetto trace-event JSON —
-// load in ui.perfetto.dev to see each packet's span tree with
-// queueing-wait vs service-time args per hop.
+// load in ui.perfetto.dev to see each packet's span tree, one span per
+// hop.
 //
 // With --control-socket (TCP port or Unix-socket path), the run serves the
 // live introspection plane (DESIGN.md §13) and keeps re-running the
 // workload — injecting --packets per pass — until a client writes
 // `ctl.stop`. Poke it with rb_top, curl (GET /metrics), or the raw line
-// protocol (READ Queue@4.occupancy, WRITE Queue@4.codel_target_us 500).
+// protocol (READ ToDevice@1.latency, WRITE tracer.sample_every 16).
 #include <algorithm>
 #include <cstdio>
 
@@ -95,7 +100,7 @@ int main(int argc, char** argv) {
            dir->memory_bytes() / 1048576.0, dir->num_long_segments());
   }
 
-  // Live control plane: element/queue handlers plus the tracer knobs and
+  // Live control plane: element handlers plus the tracer knobs and
   // ctl.stop, served off the data path's thread.
   rb::ControlPlane ctl(&registry, &tracer);
   router.graph().AddHandlers(ctl.handlers());

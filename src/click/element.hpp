@@ -116,6 +116,9 @@ class Element {
 
   int n_inputs() const { return static_cast<int>(inputs_.size()); }
   int n_outputs() const { return static_cast<int>(outputs_.size()); }
+  // The element wired to output `port` (nullptr when unwired), for graph
+  // walks outside the Router.
+  Element* output_peer(int port) const { return outputs_[static_cast<size_t>(port)].element; }
 
   const std::string& name() const { return name_; }
   void set_name(std::string n) {

@@ -49,7 +49,6 @@ class FromDevice : public BatchElement {
   size_t RunOnce();
 
   Driver& driver() { return driver_; }
-  uint16_t graph_batch() const { return graph_batch_; }
   uint64_t throttled_polls() const { return throttled_polls_.load(std::memory_order_relaxed); }
   const std::vector<Element*>& downstream_blockers() const { return blockers_; }
 

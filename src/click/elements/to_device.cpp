@@ -14,7 +14,9 @@ ToDevice::ToDevice(NicPort* port, uint16_t tx_queue, uint16_t burst, int home_co
 }
 
 void ToDevice::Initialize(Router* router) {
-  router->RegisterTask(std::make_unique<DrainTask>(this, home_core_));
+  if (router->PullsFromQueue(this)) {
+    router->RegisterTask(std::make_unique<DrainTask>(this, home_core_));
+  }
 }
 
 void ToDevice::BindTelemetry(telemetry::MetricRegistry* registry,
@@ -89,7 +91,6 @@ void ToDevice::TransmitBatch(PacketBatch& batch) {
     }
     RB_PROF_WORK(ok, ok_bytes);
   }
-  sent_ += ok;
   CountPacketsOut(ok);
   batch.Clear();
 }

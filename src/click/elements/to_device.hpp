@@ -1,10 +1,12 @@
-// ToDevice: drains an upstream pull path (normally a Queue) into one NIC
-// tx queue. Like FromDevice, it binds to a queue so that the "one core per
-// queue" rule holds on the transmit side too.
+// ToDevice: transmits into one NIC tx queue. Like FromDevice, it binds to
+// a queue so that the "one core per queue" rule holds on the transmit side
+// too; a full tx ring drops into tx_counters().drops.
 //
-// Batch-native: each drain iteration pulls up to `burst` packets (the
-// transmit-side batch, kn in the standard graphs) in one PullBatch call
-// and transmits them under a single profiler scope.
+// The wiring picks the mode at Initialize: fed by a Queue
+// (Router::PullsFromQueue), a drain task pulls up to `burst` packets per
+// iteration in one PullBatch call; otherwise upstream chains push batches
+// in and each is transmitted on the pushing core (run to completion), so
+// they must all run on one core.
 #ifndef RB_CLICK_ELEMENTS_TO_DEVICE_HPP_
 #define RB_CLICK_ELEMENTS_TO_DEVICE_HPP_
 
@@ -23,18 +25,19 @@ class ToDevice : public BatchElement {
   const char* class_name() const override { return "ToDevice"; }
   void Initialize(Router* router) override;
 
-  // Also usable in push mode: a pushed batch is transmitted immediately.
+  // Push mode: a pushed batch is transmitted immediately.
   void PushBatch(int port, PacketBatch& batch) override;
 
-  // One drain iteration: pulls up to `burst` packets from input 0 and
-  // transmits them. Returns packets moved.
+  // One pull-mode drain iteration: pulls up to `burst` packets from input
+  // 0 and transmits them. Returns packets moved.
   size_t RunOnce();
 
-  uint64_t sent() const { return sent_; }
+  NicPort* port() const { return port_; }
+  uint16_t tx_queue() const { return tx_queue_; }
 
   // Latency-plane keying: stamped packets transmitted here are observed
   // into "lat/port<label>" (or "lat/<name>" when unset). Set before
-  // BindTelemetry; SingleServerRouter labels each egress leg with its
+  // BindTelemetry; SingleServerRouter labels each ToDevice with its
   // output port.
   void set_port_label(int label) { port_label_ = label; }
 
@@ -63,7 +66,6 @@ class ToDevice : public BatchElement {
   uint16_t tx_queue_;
   uint16_t burst_;
   int home_core_;
-  uint64_t sent_ = 0;
   int port_label_ = -1;
   // Egress latency histogram + cycle->ns conversion as a Q32.32 fixed-point
   // multiplier (ns = cycles * mult >> 32), so the per-packet conversion is

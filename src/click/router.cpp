@@ -140,6 +140,18 @@ std::vector<Element*> Router::DownstreamBlockers(Element* root) const {
   return boundaries;
 }
 
+bool Router::PullsFromQueue(const Element* sink) const {
+  const Element* e = sink;
+  // Bounded by the element count, so a wiring cycle cannot spin forever.
+  for (size_t hops = 0; hops < elements_.size() && e->n_inputs() > 0; ++hops) {
+    e = e->inputs_[0].element;
+    if (e == nullptr || e->backpressure_boundary()) {
+      return e != nullptr;
+    }
+  }
+  return false;
+}
+
 int Router::CompilePrograms() {
   RB_CHECK_MSG(!initialized_, "CompilePrograms must precede Initialize");
 

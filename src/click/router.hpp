@@ -93,6 +93,11 @@ class Router {
   // cached boundaries' PushHeadroom() per poll.
   std::vector<Element*> DownstreamBlockers(Element* root) const;
 
+  // Pull-path discovery, the mirror of DownstreamBlockers: true when
+  // `sink`'s input 0 is fed by a boundary element (queue), directly or
+  // through pass-through elements; false when `sink` is fed by push.
+  bool PullsFromQueue(const Element* sink) const;
+
   const std::vector<std::unique_ptr<Task>>& tasks() const { return tasks_; }
   const std::vector<std::unique_ptr<Element>>& elements() const { return elements_; }
   bool initialized() const { return initialized_; }

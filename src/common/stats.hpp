@@ -93,11 +93,6 @@ struct PortCounters {
     bytes.fetch_add(wire_bytes, std::memory_order_relaxed);
   }
   void AddDrop() { drops.fetch_add(1, std::memory_order_relaxed); }
-  void Merge(const PortCounters& o) {
-    packets.fetch_add(o.packets.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    bytes.fetch_add(o.bytes.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    drops.fetch_add(o.drops.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  }
 };
 
 // Converts packet counts and byte counts observed over `seconds` into rates.

@@ -28,7 +28,6 @@ struct SingleServerConfig {
   // Table 1 batching sweep varies independently of kp/kn.
   uint16_t graph_batch = 0;
   size_t pool_packets = 65536;
-  size_t queue_capacity = 1024;
   // Compiled packet programs (DESIGN.md §16): when set, the graph build
   // runs Router::CompilePrograms, collapsing classification chains
   // (CheckIPHeader, classifiers) into CompiledClassifier elements. The

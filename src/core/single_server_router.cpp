@@ -8,7 +8,6 @@
 #include "click/elements/ip_lookup.hpp"
 #include "click/elements/ipsec.hpp"
 #include "click/elements/nat.hpp"
-#include "click/elements/queue.hpp"
 #include "click/elements/to_device.hpp"
 #include "common/log.hpp"
 #include "common/strings.hpp"
@@ -43,41 +42,36 @@ void SingleServerRouter::BuildGraph() {
   const int num_ports = config_.num_ports;
   const int queues = config_.queues_per_port;
 
+  // One push ToDevice per (tx queue q, output port), owned by core
+  // q % cores — the static thread-to-core mapping of §4.2. The chains that
+  // core polls on queue q push straight into it, so every tx queue has
+  // exactly one writing core (rule 1) and the core that polled a packet
+  // transmits it (rule 2), with no Queue hop in between.
+  std::vector<ToDevice*> tx;  // index q * num_ports + out_port
+  for (int q = 0; q < queues; ++q) {
+    for (int out_port = 0; out_port < num_ports; ++out_port) {
+      auto* to = router_.Add<ToDevice>(&port(out_port), static_cast<uint16_t>(q));
+      // Every ToDevice of an output port shares one "lat/port<N>" latency
+      // histogram: per-port ingress-to-egress percentiles regardless of
+      // which chain carried the packet.
+      to->set_port_label(out_port);
+      tx.push_back(to);
+    }
+  }
+
   for (int in_port = 0; in_port < num_ports; ++in_port) {
     for (int q = 0; q < queues; ++q) {
-      // Core assignment: queue q of every port belongs to core q % cores —
-      // the static thread-to-core mapping of §4.2.
-      int core = q % config_.cores;
       auto* from = router_.Add<FromDevice>(&port(in_port), static_cast<uint16_t>(q), config_.kp,
-                                           core, config_.graph_batch);
+                                           q % config_.cores, config_.graph_batch);
       auto* check = router_.Add<CheckIpHeader>();
       router_.Connect(from, 0, check, 0);
-
-      // Build the per-output transmit legs: each (in_port, q) chain has a
-      // private Queue + ToDevice per output port, so no tx queue is ever
-      // shared across cores (rule 1) and each packet stays on one core
-      // (rule 2).
-      std::vector<Element*> legs;
-      for (int out_port = 0; out_port < num_ports; ++out_port) {
-        auto* queue = router_.Add<QueueElement>(config_.queue_capacity);
-        // ToDevice drains up to kn per transmit — the NIC-driven batch
-        // size, matching the descriptor-batching axis of Table 1.
-        auto* to = router_.Add<ToDevice>(&port(out_port), static_cast<uint16_t>(q),
-                                         config_.kn, core);
-        // All legs draining to the same output port share one
-        // "lat/port<N>" latency histogram — per-port ingress-to-egress
-        // percentiles regardless of which (in_port, q) chain carried the
-        // packet.
-        to->set_port_label(out_port);
-        router_.Connect(queue, 0, to, 0);
-        legs.push_back(queue);
-      }
+      ToDevice* const* to = &tx[static_cast<size_t>(q * num_ports)];  // by output port
 
       switch (config_.app) {
         case App::kMinimalForwarding: {
           // Blind forwarding to the pre-determined output (§4.2's toy
           // configuration): port i -> port (i+1) % P.
-          router_.Connect(check, 0, legs[static_cast<size_t>((in_port + 1) % num_ports)], 0);
+          router_.Connect(check, 0, to[(in_port + 1) % num_ports], 0);
           break;
         }
         case App::kIpRouting: {
@@ -98,14 +92,14 @@ void SingleServerRouter::BuildGraph() {
           router_.Connect(upstream, 0, ttl, 0);
           router_.Connect(ttl, 0, lookup, 0);
           for (int out_port = 0; out_port < num_ports; ++out_port) {
-            router_.Connect(lookup, out_port, legs[static_cast<size_t>(out_port)], 0);
+            router_.Connect(lookup, out_port, to[out_port], 0);
           }
           break;
         }
         case App::kIpsec: {
           auto* esp = router_.Add<IpsecEncrypt>(config_.esp);
           router_.Connect(check, 0, esp, 0);
-          router_.Connect(esp, 0, legs[static_cast<size_t>((in_port + 1) % num_ports)], 0);
+          router_.Connect(esp, 0, to[(in_port + 1) % num_ports], 0);
           break;
         }
       }

@@ -5,12 +5,13 @@
 // every packet is processed start-to-finish on that core's element chain,
 // and every tx queue is written by exactly one core.
 //
-// Element graph per (input port, queue q):
-//   FromDevice(port, q) -> CheckIPHeader -> <app> -> per-output Queue ->
-//   ToDevice(output port, q)
+// Element graph per (input port, queue q), run to completion with no Queue:
+//   FromDevice(port, q) -> CheckIPHeader -> <app> -> ToDevice(output port, q)
 // where <app> is: nothing (minimal forwarding, output = (port+1) % P),
 // DecIPTTL -> IPLookup (IP routing, output from the 256 K-entry table), or
-// IPsecEncrypt (tunnel to output (port+1) % P).
+// IPsecEncrypt (tunnel to output (port+1) % P). The P chains polled on
+// queue q (all on core q % cores) push into one ToDevice per output port,
+// so the only tasks are the P·Q FromDevice polls.
 #ifndef RB_CORE_SINGLE_SERVER_ROUTER_HPP_
 #define RB_CORE_SINGLE_SERVER_ROUTER_HPP_
 

@@ -53,12 +53,4 @@ size_t Driver::Poll(PacketBatch* out, size_t max) {
   return n;
 }
 
-size_t Driver::Poll(std::vector<Packet*>* out) {
-  PacketBatch burst;
-  size_t n = Poll(&burst);
-  out->insert(out->end(), burst.begin(), burst.end());
-  burst.Clear();
-  return n;
-}
-
 }  // namespace rb

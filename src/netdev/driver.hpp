@@ -10,7 +10,6 @@
 #define RB_NETDEV_DRIVER_HPP_
 
 #include <cstdint>
-#include <vector>
 
 #include "netdev/nic.hpp"
 #include "packet/batch.hpp"
@@ -26,18 +25,13 @@ class Driver {
   Driver(NicPort* port, uint16_t rx_queue, const DriverConfig& config);
 
   // Polls the bound rx queue; appends up to kp packets to `out`.
-  // Returns the number retrieved (0 counts as an empty poll). The batch
-  // overload is the hot path (no heap traffic); the vector overload
-  // remains for harness code. `max` further caps the burst below kp —
-  // backpressure-aware pollers (FromDevice) pass the downstream headroom
-  // so overflow packets stay in the NIC ring instead of being retrieved
-  // only to be tail-dropped at a full queue.
+  // Returns the number retrieved (0 counts as an empty poll). `max`
+  // further caps the burst below kp — backpressure-aware pollers
+  // (FromDevice) pass the downstream headroom so overflow packets stay in
+  // the NIC ring instead of being retrieved only to be tail-dropped at a
+  // full queue.
   size_t Poll(PacketBatch* out) { return Poll(out, config_.kp); }
   size_t Poll(PacketBatch* out, size_t max);
-  size_t Poll(std::vector<Packet*>* out);
-
-  // Sends on the bound port's tx queue `q`.
-  bool Send(uint16_t tx_queue, Packet* p) { return port_->Transmit(tx_queue, p); }
 
   NicPort* port() { return port_; }
   uint16_t rx_queue() const { return rx_queue_; }
@@ -46,11 +40,6 @@ class Driver {
   uint64_t polls() const { return polls_; }
   uint64_t empty_polls() const { return empty_polls_; }
   uint64_t packets() const { return packets_; }
-  // Average packets per non-empty poll: the realized poll batch size.
-  double mean_burst() const {
-    uint64_t nonempty = polls_ - empty_polls_;
-    return nonempty ? static_cast<double>(packets_) / static_cast<double>(nonempty) : 0.0;
-  }
 
  private:
   NicPort* port_;

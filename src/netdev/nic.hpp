@@ -53,12 +53,6 @@ struct PcieCounters {
 
   void AddDescriptorBatch(uint32_t descriptors);
   void AddPacketData(uint32_t bytes);
-  void Merge(const PcieCounters& o) {
-    transactions.fetch_add(o.transactions.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-    payload_bytes.fetch_add(o.payload_bytes.load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
-  }
 };
 
 class NicPort {
@@ -123,7 +117,6 @@ class NicPort {
   const PortCounters& tx_counters() const { return tx_; }
   const PcieCounters& pcie_counters() const { return pcie_; }
   uint64_t rx_queue_depth(uint16_t q) const { return rx_rings_[q]->size(); }
-  uint64_t staged_depth(uint16_t q) const { return staged_[q].pkts.size(); }
 
  private:
   struct Staged {

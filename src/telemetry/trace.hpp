@@ -1,8 +1,8 @@
 // Sampled packet-path tracing.
 //
 // A PathTracer records, for 1-in-N packets, a timestamped hop at every
-// point the packet touches: FromDevice -> elements -> Queue -> ToDevice in
-// the Click graph (wall-clock timestamps — real execution), or
+// point the packet touches: FromDevice -> elements [-> Queue] -> ToDevice
+// in the Click graph (wall-clock timestamps — real execution), or
 // ext-rx -> CPU -> NIC -> link -> ... -> ext-out in the cluster DES
 // (simulated-time timestamps — fully deterministic). Consecutive-hop
 // deltas give the per-hop latency breakdown that reproduces the paper's

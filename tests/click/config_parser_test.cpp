@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "click/elements/misc.hpp"
 #include "lookup/radix_trie.hpp"
 #include "packet/pool.hpp"
@@ -94,6 +97,43 @@ TEST_F(ConfigParserTest, FullIpRouterWithPorts) {
       pool_.Free(burst[i]);
     }
   }
+}
+
+TEST_F(ConfigParserTest, OnlyQueueFedToDeviceRegistersDrainTask) {
+  // ToDevice picks its mode from the wiring: fed by a Queue (directly or
+  // through a pull-through Counter) it drains with its own task; fed by
+  // push it transmits on the pushing core and registers none.
+  const char* config = R"(
+    src :: FromDevice(0, 0);
+    t   :: Tee(3);
+    src -> t;
+    t [0] -> Queue(64) -> ToDevice(1, 0);
+    t [1] -> Queue(64) -> Counter -> ToDevice(1, 1);
+    t [2] -> ToDevice(0, 0);
+  )";
+  ConfigParseResult r = ParseClickConfig(config, &router_, context_);
+  ASSERT_TRUE(r.ok) << r.error;
+  router_.Initialize();
+  std::map<std::string, int> tasks;
+  for (const auto& task : router_.tasks()) {
+    tasks[task->element()->class_name()]++;
+  }
+  EXPECT_EQ(tasks, (std::map<std::string, int>{{"FromDevice", 1}, {"ToDevice", 2}}));
+
+  for (int i = 0; i < 5; ++i) {
+    nic_in_->Deliver(AllocFrame(Frame(), &pool_), 0.0);
+  }
+  router_.RunUntilIdle();
+  EXPECT_EQ(nic_out_->tx_counters().packets, 10u);
+  EXPECT_EQ(nic_in_->tx_counters().packets, 5u);
+  Packet* burst[16];
+  for (NicPort* nic : {nic_in_.get(), nic_out_.get()}) {
+    size_t n = nic->DrainTx(burst, 16);
+    for (size_t i = 0; i < n; ++i) {
+      pool_.Free(burst[i]);
+    }
+  }
+  EXPECT_EQ(pool_.available(), pool_.capacity());
 }
 
 TEST_F(ConfigParserTest, CommentsAndWhitespaceIgnored) {

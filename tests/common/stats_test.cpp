@@ -160,17 +160,15 @@ TEST(JainTest, EmptyAndZeroAreFair) {
   EXPECT_DOUBLE_EQ(JainFairnessIndex({0, 0}), 1.0);
 }
 
-TEST(PortCountersTest, AddAndMerge) {
-  PortCounters a;
-  a.AddPacket(64);
-  a.AddPacket(128);
-  a.drops = 1;
-  PortCounters b;
-  b.AddPacket(1500);
-  b.Merge(a);
-  EXPECT_EQ(b.packets, 3u);
-  EXPECT_EQ(b.bytes, 64u + 128u + 1500u);
-  EXPECT_EQ(b.drops, 1u);
+TEST(PortCountersTest, AddPacketAndDrop) {
+  PortCounters c;
+  c.AddPacket(64);
+  c.AddPacket(128);
+  c.AddDrop();
+  c.AddPacket(1500);
+  EXPECT_EQ(c.packets, 3u);
+  EXPECT_EQ(c.bytes, 64u + 128u + 1500u);
+  EXPECT_EQ(c.drops, 1u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "cluster/reorder.hpp"
 #include "packet/headers.hpp"
@@ -49,6 +50,25 @@ TEST(FunctionalClusterTest, DeliversToCorrectOutputNode) {
       EXPECT_EQ(NodeFromMac(EthernetView{out[i]->data()}.dst()), node);
       cluster.pool().Free(out[i]);
     }
+  }
+}
+
+TEST(FunctionalClusterTest, QueueFedToDevicesKeepTheirDrainTasks) {
+  // Cluster legs are Queue -> ToDevice, so every ToDevice stays in pull
+  // mode with one drain task of its own.
+  FunctionalCluster cluster(SmallCluster());
+  for (uint16_t node = 0; node < 4; ++node) {
+    const Router& g = cluster.node_graph(node);
+    size_t to_devices = 0;
+    for (const auto& e : g.elements()) {
+      to_devices += std::string(e->class_name()) == "ToDevice";
+    }
+    size_t drain_tasks = 0;
+    for (const auto& task : g.tasks()) {
+      drain_tasks += std::string(task->element()->class_name()) == "ToDevice";
+    }
+    EXPECT_GT(to_devices, 0u);
+    EXPECT_EQ(drain_tasks, to_devices) << "node " << node;
   }
 }
 

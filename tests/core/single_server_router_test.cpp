@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <map>
+#include <set>
+#include <thread>
+
+#include "click/elements/from_device.hpp"
+#include "click/elements/queue.hpp"
+#include "click/elements/to_device.hpp"
+#include "click/scheduler.hpp"
+#include "common/strings.hpp"
 #include "packet/headers.hpp"
 #include "workload/injector.hpp"
 #include "workload/synthetic.hpp"
@@ -202,7 +212,7 @@ TEST(SingleServerTest, IpsecOutputIsEspAndBigger) {
 
 TEST(SingleServerTest, QueuePerCoreRuleHolds) {
   // The graph must register one polling task per (port, queue): the §4.2
-  // one-core-per-queue discipline, plus one drain task per tx leg.
+  // one-core-per-queue discipline.
   SingleServerConfig cfg = SmallConfig(App::kMinimalForwarding);
   SingleServerRouter router(cfg);
   router.Initialize();
@@ -214,6 +224,157 @@ TEST(SingleServerTest, QueuePerCoreRuleHolds) {
     }
   }
   EXPECT_EQ(from_tasks, static_cast<size_t>(cfg.num_ports * cfg.queues_per_port));
+}
+
+// Every ToDevice reachable from `e` along push edges.
+void CollectToDevices(Element* e, std::set<ToDevice*>* out) {
+  if (auto* to = dynamic_cast<ToDevice*>(e)) {
+    out->insert(to);
+    return;
+  }
+  for (int o = 0; o < e->n_outputs(); ++o) {
+    if (Element* next = e->output_peer(o)) {
+      CollectToDevices(next, out);
+    }
+  }
+}
+
+TEST(SingleServerTest, DefaultGraphRunsToCompletion) {
+  // §4.2's two rules as graph structure, for P ports x Q queues x C cores:
+  // the only tasks are the P·Q FromDevice polls (queue q on core q % C),
+  // no Queue sits anywhere, and each (tx queue q, output port) has one
+  // push ToDevice that only chains on core q % C push into.
+  struct Shape {
+    int ports, queues, cores;
+  };
+  for (App app : {App::kMinimalForwarding, App::kIpRouting, App::kIpsec}) {
+    for (Shape s : {Shape{2, 1, 1}, Shape{2, 2, 2}, Shape{3, 4, 2}, Shape{4, 8, 4}}) {
+      SCOPED_TRACE(Format("%s P=%d Q=%d C=%d", AppName(app), s.ports, s.queues, s.cores));
+      SingleServerConfig cfg;
+      cfg.num_ports = s.ports;
+      cfg.queues_per_port = s.queues;
+      cfg.cores = s.cores;
+      cfg.app = app;
+      cfg.pool_packets = 1024;
+      cfg.table.num_routes = 1024;
+      cfg.compile_programs = s.queues % 2 == 0;  // the rewired graph too
+      SingleServerRouter router(cfg);
+      router.Initialize();
+      const size_t chains = static_cast<size_t>(s.ports * s.queues);
+
+      EXPECT_EQ(router.graph().tasks().size(), chains);
+      std::map<ToDevice*, std::set<int>> pusher_cores;
+      for (const auto& task : router.graph().tasks()) {
+        auto* from = dynamic_cast<FromDevice*>(task->element());
+        ASSERT_NE(from, nullptr) << "a task that is not a FromDevice poll";
+        EXPECT_EQ(task->home_core(), from->driver().rx_queue() % s.cores);
+        std::set<ToDevice*> reached;
+        CollectToDevices(from, &reached);
+        EXPECT_FALSE(reached.empty());
+        for (ToDevice* to : reached) {
+          pusher_cores[to].insert(task->home_core());
+        }
+      }
+
+      size_t to_devices = 0;
+      std::set<std::pair<NicPort*, uint16_t>> tx_rings;
+      for (const auto& e : router.graph().elements()) {
+        EXPECT_EQ(dynamic_cast<QueueElement*>(e.get()), nullptr) << e->name();
+        auto* to = dynamic_cast<ToDevice*>(e.get());
+        if (to == nullptr) {
+          continue;
+        }
+        to_devices++;
+        EXPECT_TRUE(tx_rings.insert({to->port(), to->tx_queue()}).second)
+            << "two ToDevices write one tx ring";
+        EXPECT_EQ(pusher_cores[to], std::set<int>{to->tx_queue() % s.cores}) << to->name();
+      }
+      EXPECT_EQ(to_devices, chains);
+    }
+  }
+}
+
+TEST(SingleServerTest, ConcurrentRunToCompletionReturnsEveryPacket) {
+  // The default graph on real worker threads: 2 ports x 2 queues x 2
+  // cores, each core polling its queue on both ports and transmitting
+  // into its own tx queue. A fixed set of packets circulates feeder ->
+  // rx ring -> chain -> tx ring -> feeder; the pool is only touched
+  // before Start and after Stop (it is per-core in real deployments).
+  SingleServerConfig cfg;
+  cfg.num_ports = 2;
+  cfg.queues_per_port = 2;
+  cfg.cores = 2;
+  cfg.kn = 1;  // commit each delivery at once: no staged descriptors to flush
+  cfg.app = App::kMinimalForwarding;
+  cfg.pool_packets = 1024;
+  telemetry::MetricRegistry registry;
+  SingleServerRouter router(cfg);
+  router.EnableTelemetry(&registry);
+  router.Initialize();
+
+  constexpr int kInFlight = 64;
+  constexpr uint64_t kDeliveries = 200 * kInFlight;
+  std::set<Packet*> seed;
+  for (uint32_t i = 0; i < kInFlight; ++i) {
+    FrameSpec spec;
+    spec.size = 64;
+    spec.flow.src_ip = 0x0a000001u + i;
+    spec.flow.dst_ip = 0xc0a80001u;
+    spec.flow.src_port = static_cast<uint16_t>(1024 + i);
+    spec.flow.protocol = 17;
+    Packet* p = AllocFrame(spec, &router.pool());
+    ASSERT_NE(p, nullptr);
+    seed.insert(p);
+  }
+
+  ThreadScheduler sched(&router.graph(), cfg.cores);
+  sched.Start();
+  uint64_t delivered = 0;
+  std::vector<Packet*> returned;
+  std::thread feeder([&] {
+    int port = 0;
+    for (Packet* p : seed) {
+      router.DeliverFrame(port, p, 0.0);
+      port ^= 1;
+      delivered++;
+    }
+    // Each frame that leaves a port re-enters on it, so it keeps
+    // alternating between the two ports until the feeder stops.
+    Packet* burst[kInFlight];
+    uint64_t drained = 0;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (drained < delivered && std::chrono::steady_clock::now() < deadline) {
+      for (int out = 0; out < cfg.num_ports; ++out) {
+        size_t n = router.DrainPort(out, burst, kInFlight);
+        drained += n;
+        for (size_t k = 0; k < n; ++k) {
+          if (delivered < kDeliveries) {
+            router.DeliverFrame(out, burst[k], 0.0);
+            delivered++;
+          } else {
+            returned.push_back(burst[k]);
+          }
+        }
+      }
+      std::this_thread::yield();
+    }
+  });
+  feeder.join();
+  sched.Stop();
+
+  EXPECT_EQ(delivered, kDeliveries);
+  EXPECT_EQ(std::set<Packet*>(returned.begin(), returned.end()), seed)
+      << "every packet comes back out, exactly once";
+  EXPECT_EQ(returned.size(), seed.size());
+  for (const auto& task : router.graph().tasks()) {
+    EXPECT_GT(task->work(), 0u) << task->element()->name() << " never moved a packet";
+  }
+  EXPECT_EQ(router.total_rx_packets(), delivered);
+  EXPECT_EQ(router.total_tx_packets(), delivered);
+  for (Packet* p : returned) {
+    router.pool().Free(p);
+  }
+  EXPECT_EQ(router.pool().available(), router.pool().capacity());
 }
 
 TEST(SingleServerDeathTest, InvalidConfigRejected) {

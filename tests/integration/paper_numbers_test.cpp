@@ -3,9 +3,14 @@
 // this file says exactly which published number broke.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+
 #include "cluster/des.hpp"
 #include "cluster/latency.hpp"
 #include "cluster/sizing.hpp"
+#include "common/strings.hpp"
 #include "model/extrapolate.hpp"
 #include "model/scenarios.hpp"
 #include "model/throughput.hpp"
@@ -21,6 +26,14 @@ struct PaperPoint {
   double paper_gbps;
   double tolerance;
 };
+
+// Prints a parameter as a stable token such as "routing_729p6B" (see
+// PrintTo in property_sweep_test.cpp for why).
+void PrintTo(const PaperPoint& pt, std::ostream* os) {
+  std::string bytes = Format("%g", pt.frame_bytes);
+  std::replace(bytes.begin(), bytes.end(), '.', 'p');
+  *os << Format("%s_%sB", AppName(pt.app), bytes.c_str());
+}
 
 class Fig8Regression : public ::testing::TestWithParam<PaperPoint> {};
 

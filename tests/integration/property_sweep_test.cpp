@@ -12,7 +12,12 @@
 //    Click graph and never leak pool buffers (failure injection).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+
 #include "cluster/des.hpp"
+#include "common/strings.hpp"
 #include "core/single_server_router.hpp"
 #include "workload/abilene.hpp"
 #include "workload/synthetic.hpp"
@@ -26,6 +31,18 @@ struct SweepParam {
   double per_port_gbps;
   bool admissible;  // inside the safe envelope -> must be loss-free
 };
+
+// Prints a parameter as a stable token such as
+// "n4_64B_2p5gbps_admissible". Without a PrintTo, gtest prints the
+// struct's raw bytes, padding included, and CMake's test discovery names
+// each ctest instance after that print, so the names changed from build
+// to build.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  std::string gbps = Format("%.1f", p.per_port_gbps);
+  std::replace(gbps.begin(), gbps.end(), '.', 'p');
+  *os << Format("n%u_%uB_%sgbps_%s", static_cast<unsigned>(p.nodes), p.frame_bytes, gbps.c_str(),
+                p.admissible ? "admissible" : "overload");
+}
 
 class ClusterSweep : public ::testing::TestWithParam<SweepParam> {};
 

@@ -289,8 +289,8 @@ FrameSpec Frame64(uint16_t port) {
 TEST(ControlSocketTest, ConcurrentScrapesRaceLiveWorkers) {
   // Two scheduler workers move packets through FromDevice -> Queue ->
   // ToDevice while a control client LISTs, READs occupancy/counters,
-  // WRITEs watermarks and CoDel knobs, and snapshots the registry over a
-  // real socket. Under TSan (the CI *Concurrent* filter) this proves the
+  // WRITEs watermarks and CoDel knobs and reads them back, and snapshots
+  // the registry over a real socket. Under TSan (the CI *Concurrent* filter) this proves the
   // handler bodies only touch data that is safe against hot-path writers.
   //
   // A fixed set of packets circulates feeder -> rx -> queue -> tx ->
@@ -369,8 +369,14 @@ TEST(ControlSocketTest, ConcurrentScrapesRaceLiveWorkers) {
       client.Command("READ " + qname + ".counts");
       client.Command("READ " + qname + ".highwater");
       client.Command("READ router.tasks");
-      client.Command("WRITE " + qname + ".hi " + ((iter % 2) != 0 ? "512" : "768"));
-      client.Command("WRITE " + qname + ".codel_target_us " + ((iter % 2) != 0 ? "750" : "5000"));
+      // Live retuning round trip: each write is read back while the
+      // workers keep moving packets through the queue.
+      const std::string hi = (iter % 2) != 0 ? "512" : "768";
+      const std::string target = (iter % 2) != 0 ? "750.0" : "5000.0";
+      EXPECT_EQ(client.Command("WRITE " + qname + ".hi " + hi), "200 OK");
+      EXPECT_EQ(client.Command("WRITE " + qname + ".codel_target_us " + target), "200 OK");
+      EXPECT_EQ(client.Command("READ " + qname + ".hi"), hi);
+      EXPECT_EQ(client.Command("READ " + qname + ".codel_target_us"), target);
       RegistrySnapshot snap = registry.Snapshot();
       EXPECT_GE(snap.counters.size(), 1u);
     }

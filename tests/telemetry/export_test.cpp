@@ -1,7 +1,7 @@
 // End-to-end export test: run a real SingleServerRouter with telemetry
 // bound, dump the JSON snapshot to disk, parse it back, and check every
 // section against independently known ground truth (NIC counters, element
-// counters, queue occupancy, sampled per-hop latency histogram).
+// counters, ring occupancy, sampled per-hop latency histogram).
 #include "telemetry/export.hpp"
 
 #include <gtest/gtest.h>
@@ -133,7 +133,7 @@ TEST(ExportTest, RouterJsonSnapshotMatchesGroundTruth) {
   EXPECT_EQ(to_out, forwarded);
   EXPECT_EQ(drops, 0u);
 
-  // --- queue occupancy gauges exist and saw at least one packet ---
+  // --- ring occupancy gauges exist and saw at least one packet ---
   const JsonValue* gauges = doc.Find("gauges");
   ASSERT_NE(gauges, nullptr);
   double max_occupancy = 0;
@@ -155,10 +155,10 @@ TEST(ExportTest, RouterJsonSnapshotMatchesGroundTruth) {
   EXPECT_DOUBLE_EQ(sampled, static_cast<double>(delivered / tc.sample_every));
   const JsonValue* hop_hist = traces->Find("hop_latency");
   ASSERT_NE(hop_hist, nullptr);
-  // Each sampled minimal-forwarding trace has 5 hops (FromDevice ->
-  // CheckIPHeader -> Queue -> Queue/deq -> ToDevice; the dequeue hop
-  // carries the measured queueing wait) = 4 latency deltas.
-  EXPECT_DOUBLE_EQ(hop_hist->Find("count")->NumberOr(0), sampled * 4);
+  // Each sampled minimal-forwarding trace has 4 hops (FromDevice ->
+  // CheckIPHeader -> ToDevice handoff -> ToDevice transmit; the default
+  // graph runs to completion, with no Queue hop) = 3 latency deltas.
+  EXPECT_DOUBLE_EQ(hop_hist->Find("count")->NumberOr(0), sampled * 3);
   const JsonValue* hops = traces->Find("hops");
   ASSERT_NE(hops, nullptr);
   EXPECT_FALSE(hops->arr.empty());

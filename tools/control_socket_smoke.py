@@ -2,17 +2,19 @@
 """End-to-end smoke test of the live introspection plane (DESIGN.md §13).
 
 Starts ip_router serving a Unix control socket, then over that socket:
-  1. LIST — the handler surface includes element, queue, scheduler-free
-     router paths, tracer knobs, and ctl.* built-ins
-  2. READ a queue's occupancy/capacity while traffic flows
-  3. WRITE <queue>.codel_target_us mid-run and read the change back
-     (the acceptance-criteria round trip)
-  4. WRITE tracer.sample_every and read it back; READ a Nat element's
-     .flows/.occupancy while traffic flows (the router runs --stateful)
-     and retune its .lo/.hi eviction watermarks live
+  1. LIST — the handler surface includes element, scheduler-free router
+     paths, tracer knobs, and ctl.* built-ins
+  2. READ a FromDevice's and a ToDevice's live handlers while traffic
+     flows (the default graph runs to completion, so it has no Queue)
+  3. WRITE tracer.sample_every mid-run and read the change back (the
+     acceptance-criteria round trip)
+  4. READ a Nat element's .flows/.capacity while traffic flows (the
+     router runs --stateful) and retune its .lo/.hi eviction watermarks
+     live
   5. GET /metrics — validated with check_prometheus.py
   6. GET /metrics.json — must parse as JSON
-  7. rb_top --once against the same socket renders a frame
+  7. rb_top --once against the same socket renders a frame with the
+     LATENCY section
   8. WRITE ctl.stop — the router drains and exits 0
 
 Usage: control_socket_smoke.py --router PATH [--rb-top PATH] [--checker PATH]
@@ -125,12 +127,17 @@ def main():
         status, listing = c.command("LIST")
         check(status.startswith("200 DATA"), f"LIST answers framed data ({status})")
         paths = [line.split()[-1] for line in listing.splitlines() if " " in line]
-        # Flow tables alias `.occupancy` too — key queues on `.codel_target_us`
-        # (only real queues carry the CoDel knob) and stateful tables on `.flows`.
+        # Pollers are keyed on `.throttled_polls`, transmitters on
+        # `.latency` and stateful tables on `.flows`.
         nats = sorted(p[: -len(".flows")] for p in paths if p.endswith(".flows"))
-        queues = sorted(p[: -len(".codel_target_us")] for p in paths
-                        if p.endswith(".codel_target_us"))
-        check(len(queues) > 0, f"LIST exposes queue handlers ({len(queues)} queues)")
+        pollers = sorted(p[: -len(".throttled_polls")] for p in paths
+                         if p.endswith(".throttled_polls"))
+        senders = sorted(p[: -len(".latency")] for p in paths
+                         if p.startswith("ToDevice@") and p.endswith(".latency"))
+        check(len(pollers) > 0, f"LIST exposes FromDevice handlers ({len(pollers)} pollers)")
+        check(len(senders) > 0, f"LIST exposes ToDevice handlers ({len(senders)} senders)")
+        check(not any(p.endswith(".codel_target_us") for p in paths),
+              "the default graph has no Queue")
         for want in ("tracer.sample_every", "ctl.stop", "ctl.status", "fr.recorded",
                      "router.elements"):
             check(want in paths, f"LIST exposes {want}")
@@ -141,29 +148,31 @@ def main():
               and all(l.split()[-1].startswith("tracer.") for l in filtered.splitlines()),
               "LIST <prefix> filters")
 
-        # 2. Live occupancy/capacity read while traffic is flowing.
-        q = queues[0]
-        status, occ = c.command(f"READ {q}.occupancy")
-        check(status.startswith("200 DATA") and occ.strip().isdigit(),
-              f"READ {q}.occupancy -> {occ.strip()!r}")
-        status, cap = c.command(f"READ {q}.capacity")
-        check(status.startswith("200 DATA") and int(cap) > 0,
-              f"READ {q}.capacity -> {cap.strip()!r}")
+        # 2. Live reads at both ends of a chain while traffic is flowing.
+        fd = pollers[0]
+        status, kp = c.command(f"READ {fd}.kp")
+        check(status.startswith("200 DATA") and int(kp) > 0, f"READ {fd}.kp -> {kp.strip()!r}")
+        for handler in (f"{fd}.counts", f"{fd}.throttled_polls"):
+            status, v = c.command(f"READ {handler}")
+            check(status.startswith("200 DATA") and v.strip().isdigit(),
+                  f"READ {handler} -> {v.strip()!r}")
+        td = senders[0]
+        status, lat = c.command(f"READ {td}.latency")
+        check(status.startswith("200 DATA") and lat.startswith("count="),
+              f"READ {td}.latency -> {lat.strip()!r}")
+        status, v = c.command(f"READ {td}.counts")
+        check(status.startswith("200 DATA") and v.strip().isdigit(),
+              f"READ {td}.counts -> {v.strip()!r}")
 
-        # 3. The acceptance round trip: retune CoDel mid-run, read it back.
-        status, before = c.command(f"READ {q}.codel_target_us")
-        check(status.startswith("200 DATA"), f"READ {q}.codel_target_us -> {before.strip()!r}")
-        status, _ = c.command(f"WRITE {q}.codel_target_us 750")
-        check(status.startswith("200"), f"WRITE {q}.codel_target_us 750 ({status})")
-        status, after = c.command(f"READ {q}.codel_target_us")
-        check(status.startswith("200 DATA") and abs(float(after) - 750.0) < 1e-6,
-              f"read-back observes the write ({before.strip()} -> {after.strip()})")
-
-        # 4. Tracer knob.
+        # 3. The acceptance round trip: retune the tracer mid-run, read it
+        # back.
+        status, before = c.command("READ tracer.sample_every")
+        check(status.startswith("200 DATA"), f"READ tracer.sample_every -> {before.strip()!r}")
         status, _ = c.command("WRITE tracer.sample_every 16")
-        check(status.startswith("200"), "WRITE tracer.sample_every 16")
+        check(status.startswith("200"), f"WRITE tracer.sample_every 16 ({status})")
         status, se = c.command("READ tracer.sample_every")
-        check(se.strip() == "16", f"tracer.sample_every reads back 16 (got {se.strip()!r})")
+        check(se.strip() == "16",
+              f"read-back observes the write ({before.strip()} -> {se.strip()})")
 
         # Stateful plane (DESIGN.md §17): the router runs --stateful, so
         # every chain's Nat publishes its flow table. Read the live table,
@@ -190,7 +199,7 @@ def main():
         # Error paths return protocol errors, not hangs.
         status, _ = c.command("READ no.such.handler")
         check(status.startswith("510"), f"READ unknown -> 510 ({status})")
-        status, _ = c.command(f"WRITE {q}.codel_target_us banana")
+        status, _ = c.command("WRITE tracer.sample_every banana")
         check(status.startswith("540"), f"WRITE bad value -> 540 ({status})")
         status, _ = c.command("FROB x")
         check(status.startswith("500"), f"unknown verb -> 500 ({status})")
@@ -222,8 +231,9 @@ def main():
         if args.rb_top:
             res = subprocess.run([args.rb_top, "--connect", sock_path, "--once"],
                                  capture_output=True, text=True, timeout=30)
-            check(res.returncode == 0 and "QUEUES" in res.stdout and q in res.stdout,
-                  "rb_top --once renders elements and queues")
+            check(res.returncode == 0 and "ELEMENTS" in res.stdout
+                  and "LATENCY" in res.stdout,
+                  "rb_top --once renders elements and latency")
 
         # 8. Clean shutdown through the socket.
         status, _ = c.command("WRITE ctl.stop 1")
