@@ -166,6 +166,13 @@ SweepPoint RunSweepPoint(uint32_t burst, uint64_t total_packets) {
   };
   uint64_t injected = 0;
   uint32_t frame_id = 0;
+  int next_port = 0;
+  // Batches alternate between the two ports, so each burst loads both.
+  auto deliver = [&](rb::PacketBatch* batch) {
+    injected += batch->size();  // DeliverBatch consumes the batch
+    router.DeliverBatch(next_port, batch, 0.0);
+    next_port ^= 1;
+  };
   while (injected < total_packets) {
     // Offer `burst` packets back to back, then let the router run dry:
     // the k-th packet of the burst observes ~k packets of service time
@@ -179,17 +186,11 @@ SweepPoint RunSweepPoint(uint32_t burst, uint64_t total_packets) {
       }
       batch.PushBack(p);
       if (batch.full()) {
-        uint32_t got = batch.size();  // DeliverBatch consumes the batch
-        router.DeliverBatch(static_cast<int>(injected % 2), &batch, 0.0);
-        injected += got;
-        batch.Clear();
+        deliver(&batch);
       }
     }
     if (batch.size() > 0) {
-      uint32_t got = batch.size();
-      router.DeliverBatch(static_cast<int>(injected % 2), &batch, 0.0);
-      injected += got;
-      batch.Clear();
+      deliver(&batch);
     }
     router.RunUntilIdle();
     drain();
@@ -275,6 +276,7 @@ StampAb MeasureStampAb(uint64_t packets, int reps) {
     rb::telemetry::SetIngressStampEnabled(stamp_on);
     uint64_t injected = 0;
     uint32_t frame_id = 0;
+    int next_port = 0;
     uint64_t start = rb::telemetry::ReadCycles();
     while (injected < packets) {
       rb::PacketBatch batch;
@@ -286,10 +288,9 @@ StampAb MeasureStampAb(uint64_t packets, int reps) {
         }
         batch.PushBack(p);
       }
-      uint32_t got = batch.size();  // DeliverBatch consumes the batch
-      router.DeliverBatch(static_cast<int>(injected % 2), &batch, 0.0);
-      injected += got;
-      batch.Clear();
+      injected += batch.size();  // DeliverBatch consumes the batch
+      router.DeliverBatch(next_port, &batch, 0.0);
+      next_port ^= 1;  // alternate ports batch by batch
       router.RunUntilIdle();
       for (int port = 0; port < cfg.num_ports; ++port) {
         size_t n;

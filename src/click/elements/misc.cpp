@@ -3,16 +3,14 @@
 namespace rb {
 
 void CounterElement::PushBatch(int /*port*/, PacketBatch& batch) {
-  for (Packet* p : batch) {
-    counters_.AddPacket(p->wire_bytes());
-  }
+  counters_.Add(batch.size(), batch.TotalBytes());
   OutputBatch(0, batch);
 }
 
 Packet* CounterElement::Pull(int /*port*/) {
   Packet* p = Input(0);
   if (p != nullptr) {
-    counters_.AddPacket(p->wire_bytes());
+    counters_.Add(1, p->wire_bytes());
   }
   return p;
 }
@@ -20,8 +18,12 @@ Packet* CounterElement::Pull(int /*port*/) {
 size_t CounterElement::PullBatch(int /*port*/, PacketBatch* out, int max) {
   const uint32_t before = out->size();
   size_t moved = InputBatch(0, out, max);
+  uint64_t bytes = 0;
   for (uint32_t i = before; i < out->size(); ++i) {
-    counters_.AddPacket((*out)[i]->wire_bytes());
+    bytes += (*out)[i]->wire_bytes();
+  }
+  if (out->size() > before) {
+    counters_.Add(out->size() - before, bytes);
   }
   return moved;
 }

@@ -71,8 +71,7 @@ void ToDevice::TransmitBatch(PacketBatch& batch) {
       }
     }
   }
-  uint64_t ok = 0;
-  [[maybe_unused]] uint64_t ok_bytes = 0;
+  NicPort::RingBurst sent;
   {
 #if defined(RB_PROFILE) && RB_PROFILE
     // The tx half of the driver batch loop (rx is netdev/rx_poll) — one
@@ -80,18 +79,12 @@ void ToDevice::TransmitBatch(PacketBatch& batch) {
     static const telemetry::ScopeId kTxScope = telemetry::InternScopeName("netdev/tx");
     RB_PROF_SCOPE(kTxScope);
 #endif
-    for (Packet* p : batch) {
-      [[maybe_unused]] uint32_t bytes = p->length();
-      // Transmit() owns the packet either way; failures are counted as tx
-      // drops by the NIC.
-      if (port_->Transmit(tx_queue_, p)) {
-        ok++;
-        ok_bytes += bytes;
-      }
-    }
-    RB_PROF_WORK(ok, ok_bytes);
+    // Transmit() owns every packet either way; those its ring has no room
+    // for are counted as tx drops by the NIC.
+    sent = port_->Transmit(tx_queue_, batch.begin(), batch.size());
+    RB_PROF_WORK(sent.packets, sent.bytes);
   }
-  CountPacketsOut(ok);
+  CountPacketsOut(sent.packets);
   batch.Clear();
 }
 

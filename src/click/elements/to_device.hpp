@@ -49,8 +49,9 @@ class ToDevice : public BatchElement {
   void AddHandlers(telemetry::HandlerRegistry* handlers) override;
 
  private:
-  // Transmits every packet in `batch` (Transmit owns each packet either
-  // way; failures are counted as tx drops by the NIC). Empties the batch.
+  // Transmits `batch` with one NicPort::Transmit burst (which owns each
+  // packet either way; failures are counted as tx drops by the NIC).
+  // Empties the batch.
   void TransmitBatch(PacketBatch& batch);
 
   class DrainTask : public Task {

@@ -88,11 +88,16 @@ struct PortCounters {
   std::atomic<uint64_t> bytes{0};
   std::atomic<uint64_t> drops{0};
 
-  void AddPacket(uint64_t wire_bytes) {
-    packets.fetch_add(1, std::memory_order_relaxed);
-    bytes.fetch_add(wire_bytes, std::memory_order_relaxed);
+  // Counts a burst: `n_packets` packets carrying `n_bytes` wire bytes,
+  // plus `n_drops` dropped ones. One relaxed RMW per counter per burst,
+  // however many packets it covers.
+  void Add(uint64_t n_packets, uint64_t n_bytes, uint64_t n_drops = 0) {
+    packets.fetch_add(n_packets, std::memory_order_relaxed);
+    bytes.fetch_add(n_bytes, std::memory_order_relaxed);
+    if (n_drops != 0) {
+      drops.fetch_add(n_drops, std::memory_order_relaxed);
+    }
   }
-  void AddDrop() { drops.fetch_add(1, std::memory_order_relaxed); }
 };
 
 // Converts packet counts and byte counts observed over `seconds` into rates.

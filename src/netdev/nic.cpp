@@ -1,5 +1,7 @@
 #include "netdev/nic.hpp"
 
+#include <utility>
+
 #include "common/log.hpp"
 #include "common/strings.hpp"
 #include "packet/pool.hpp"
@@ -8,27 +10,48 @@
 
 namespace rb {
 
-void PcieCounters::AddDescriptorBatch(uint32_t descriptors) {
-  uint32_t txns = (descriptors + kMaxDescriptorsPerPcieTxn - 1) / kMaxDescriptorsPerPcieTxn;
-  transactions.fetch_add(txns, std::memory_order_relaxed);
-  payload_bytes.fetch_add(uint64_t{descriptors} * kDescriptorBytes, std::memory_order_relaxed);
+namespace {
+
+// PCIe data DMA and wire bytes of a burst, read before the burst is
+// published: once on a ring, its frames may already be the consumer's.
+struct BurstSize {
+  uint64_t data_txns = 0;
+  uint64_t data_bytes = 0;
+  uint64_t wire_bytes = 0;
+};
+
+BurstSize Measure(Packet* const* pkts, uint32_t n) {
+  BurstSize s;
+  for (uint32_t i = 0; i < n; ++i) {
+    s.data_txns += PcieDataTxns(pkts[i]->length());
+    s.data_bytes += pkts[i]->length();
+    s.wire_bytes += pkts[i]->wire_bytes();
+  }
+  return s;
 }
 
-void PcieCounters::AddPacketData(uint32_t bytes) {
-  transactions.fetch_add((bytes + kPcieMaxPayload - 1) / kPcieMaxPayload,
-                         std::memory_order_relaxed);
-  payload_bytes.fetch_add(bytes, std::memory_order_relaxed);
+// Releases `pkts[from, n)`, the frames a ring had no room for, and
+// returns their wire bytes.
+uint64_t ReleaseDropped(Packet* const* pkts, uint32_t from, uint32_t n) {
+  uint64_t bytes = 0;
+  for (uint32_t i = from; i < n; ++i) {
+    bytes += pkts[i]->wire_bytes();
+    PacketPool::Release(pkts[i]);
+  }
+  return bytes;
 }
+
+}  // namespace
 
 NicPort::NicPort(const NicConfig& config)
     : config_(config), steering_(config.steering, config.num_rx_queues) {
   RB_CHECK(config.num_rx_queues >= 1 && config.num_tx_queues >= 1);
   RB_CHECK(config.kn >= 1);
   for (uint16_t q = 0; q < config.num_rx_queues; ++q) {
-    rx_rings_.push_back(std::make_unique<SpscRing<Packet*>>(config.ring_entries));
+    rx_.rings.push_back(std::make_unique<SpscRing<Packet*>>(config.ring_entries));
   }
   for (uint16_t q = 0; q < config.num_tx_queues; ++q) {
-    tx_rings_.push_back(std::make_unique<SpscRing<Packet*>>(config.ring_entries));
+    tx_.rings.push_back(std::make_unique<SpscRing<Packet*>>(config.ring_entries));
   }
   staged_.resize(config.num_rx_queues);
 }
@@ -37,18 +60,15 @@ void NicPort::BindTelemetry(telemetry::MetricRegistry* registry, const std::stri
   if (!telemetry::Enabled() || registry == nullptr) {
     return;
   }
-  tele_ = std::make_unique<Telemetry>();
-  tele_->rx_packets = registry->GetCounter(prefix + "rx_packets");
-  tele_->rx_bytes = registry->GetCounter(prefix + "rx_bytes");
-  tele_->rx_drops = registry->GetCounter(prefix + "rx_drops");
-  tele_->tx_packets = registry->GetCounter(prefix + "tx_packets");
-  tele_->tx_bytes = registry->GetCounter(prefix + "tx_bytes");
-  tele_->tx_drops = registry->GetCounter(prefix + "tx_drops");
-  for (uint16_t q = 0; q < config_.num_rx_queues; ++q) {
-    tele_->rx_ring_hw.push_back(registry->GetGauge(Format("%srxq%u/occupancy_hw", prefix.c_str(), q)));
-  }
-  for (uint16_t q = 0; q < config_.num_tx_queues; ++q) {
-    tele_->tx_ring_hw.push_back(registry->GetGauge(Format("%stxq%u/occupancy_hw", prefix.c_str(), q)));
+  for (auto [dir, name] : {std::pair{&rx_, "rx"}, std::pair{&tx_, "tx"}}) {
+    dir->tele_packets = registry->GetCounter(prefix + name + "_packets");
+    dir->tele_bytes = registry->GetCounter(prefix + name + "_bytes");
+    dir->tele_drops = registry->GetCounter(prefix + name + "_drops");
+    dir->tele_ring_hw.clear();
+    for (size_t q = 0; q < dir->rings.size(); ++q) {
+      dir->tele_ring_hw.push_back(
+          registry->GetGauge(Format("%s%sq%zu/occupancy_hw", prefix.c_str(), name, q)));
+    }
   }
 }
 
@@ -93,32 +113,19 @@ void NicPort::DeliverBatch(PacketBatch* batch, SimTime now) {
 
 void NicPort::CommitStaged(uint16_t q) {
   Staged& st = staged_[q];
-  if (st.pkts.empty()) {
+  const auto n = static_cast<uint32_t>(st.pkts.size());
+  if (n == 0) {
     return;
   }
-  // One batched descriptor transfer for the whole group, then the packet
-  // data DMA per frame.
-  pcie_.AddDescriptorBatch(static_cast<uint32_t>(st.pkts.size()));
-  for (Packet* p : st.pkts) {
-    pcie_.AddPacketData(p->length());
-    if (rx_rings_[q]->TryPush(p)) {
-      rx_.AddPacket(p->wire_bytes());
-      if (tele_ != nullptr) {
-        tele_->rx_packets->Inc();
-        tele_->rx_bytes->Add(p->wire_bytes());
-        tele_->rx_ring_hw[q]->UpdateMax(static_cast<double>(rx_rings_[q]->size()));
-      }
-    } else {
-      rx_.AddDrop();
-      // NIC had no free rx descriptors — the event the paper's loss-free
-      // envelope is defined against; a = rx queue index.
-      static const telemetry::ScopeId kNicScope = telemetry::InternScopeName("nic/rx");
-      telemetry::FrRecord(telemetry::FrEvent::kRxOverflow, kNicScope, q, 1);
-      if (tele_ != nullptr) {
-        tele_->rx_drops->Inc();
-      }
-      PacketPool::Release(p);
-    }
+  // One batched descriptor transfer for the whole group on top of every
+  // frame's data DMA.
+  const RingBurst pushed = PushBurst(rx_, q, st.pkts.data(), n, PcieDescriptorTxns(n),
+                                     uint64_t{n} * kDescriptorBytes);
+  if (pushed.packets < n) {
+    // NIC had no free rx descriptors — the event the paper's loss-free
+    // envelope is defined against; a = rx queue index, b = frames lost.
+    static const telemetry::ScopeId kNicScope = telemetry::InternScopeName("nic/rx");
+    telemetry::FrRecord(telemetry::FrEvent::kRxOverflow, kNicScope, q, n - pushed.packets);
   }
   st.pkts.clear();
 }
@@ -143,31 +150,42 @@ void NicPort::FlushAllStaged() {
 
 size_t NicPort::PollRx(uint16_t q, Packet** out, size_t max) {
   RB_CHECK(q < config_.num_rx_queues);
-  return rx_rings_[q]->TryPopBurst(out, max);
+  return rx_.rings[q]->TryPopBurst(out, max);
 }
 
-bool NicPort::Transmit(uint16_t q, Packet* p) {
+NicPort::RingBurst NicPort::Transmit(uint16_t q, Packet* const* pkts, uint32_t n) {
   RB_CHECK(q < config_.num_tx_queues);
-  // Descriptor + data cross the PCIe bus on transmit too. The driver's
+  if (n == 0) {
+    return {};
+  }
+  // Every frame's data crosses the PCIe bus on transmit too. The driver's
   // NIC-driven batching applies to descriptor writes; we charge the
   // amortized cost assuming the configured kn (the driver groups kn
   // descriptor writebacks per transaction on average).
-  pcie_.AddPacketData(p->length());
-  if (!tx_rings_[q]->TryPush(p)) {
-    tx_.AddDrop();
-    if (tele_ != nullptr) {
-      tele_->tx_drops->Inc();
+  return PushBurst(tx_, q, pkts, n, 0, 0);
+}
+
+NicPort::RingBurst NicPort::PushBurst(Direction& dir, uint16_t q, Packet* const* pkts,
+                                      uint32_t n, uint64_t extra_txns,
+                                      uint64_t extra_bytes) {
+  const BurstSize size = Measure(pkts, n);
+  pcie_.Add(extra_txns + size.data_txns, extra_bytes + size.data_bytes);
+  RingBurst pushed;
+  pushed.packets = static_cast<uint32_t>(dir.rings[q]->TryPushBurst(pkts, n));
+  const uint32_t drops = n - pushed.packets;
+  pushed.bytes = size.wire_bytes - ReleaseDropped(pkts, pushed.packets, n);
+  dir.counters.Add(pushed.packets, pushed.bytes, drops);
+  if (dir.tele_packets != nullptr) {
+    dir.tele_packets->Add(pushed.packets);
+    dir.tele_bytes->Add(pushed.bytes);
+    if (drops > 0) {
+      dir.tele_drops->Add(drops);
     }
-    PacketPool::Release(p);
-    return false;
+    if (pushed.packets > 0) {
+      dir.tele_ring_hw[q]->UpdateMax(static_cast<double>(dir.rings[q]->size()));
+    }
   }
-  tx_.AddPacket(p->wire_bytes());
-  if (tele_ != nullptr) {
-    tele_->tx_packets->Inc();
-    tele_->tx_bytes->Add(p->wire_bytes());
-    tele_->tx_ring_hw[q]->UpdateMax(static_cast<double>(tx_rings_[q]->size()));
-  }
-  return true;
+  return pushed;
 }
 
 size_t NicPort::DrainTx(Packet** out, size_t max) {
@@ -178,7 +196,7 @@ size_t NicPort::DrainTx(Packet** out, size_t max) {
   size_t n = 0;
   for (uint16_t visited = 0; visited < config_.num_tx_queues && n < max;
        ++visited) {
-    n += tx_rings_[tx_drain_rr_]->TryPopBurst(&out[n], max - n);
+    n += tx_.rings[tx_drain_rr_]->TryPopBurst(&out[n], max - n);
     // Wrap without the integer divide a runtime '%' would cost.
     tx_drain_rr_ = static_cast<uint16_t>(
         tx_drain_rr_ + 1 == config_.num_tx_queues ? 0 : tx_drain_rr_ + 1);

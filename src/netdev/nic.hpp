@@ -12,6 +12,11 @@
 // PCIe traffic is accounted per the PCIe 1.1 parameters the paper quotes:
 // descriptors are 16 B, the maximum transaction payload is 256 B, so at
 // most 16 descriptors fit one transaction.
+//
+// The NIC does its own bookkeeping once per burst, as §4.2's batching
+// amortizes the driver's: a committed kn group and a Transmit burst each
+// reach their ring in one publish (SpscRing::TryPushBurst), and the PCIe,
+// port and registry counters take one update per burst.
 #ifndef RB_NETDEV_NIC_HPP_
 #define RB_NETDEV_NIC_HPP_
 
@@ -45,14 +50,26 @@ constexpr uint32_t kDescriptorBytes = 16;
 constexpr uint32_t kPcieMaxPayload = 256;
 constexpr uint32_t kMaxDescriptorsPerPcieTxn = kPcieMaxPayload / kDescriptorBytes;  // 16
 
-// Shared by every queue on a port, so the adders use relaxed atomics
+// Transactions that move `descriptors` descriptors packed as densely as
+// the payload limit allows, and that move one frame's `bytes` of data.
+constexpr uint64_t PcieDescriptorTxns(uint64_t descriptors) {
+  return (descriptors + kMaxDescriptorsPerPcieTxn - 1) / kMaxDescriptorsPerPcieTxn;
+}
+constexpr uint64_t PcieDataTxns(uint32_t bytes) {
+  return (bytes + kPcieMaxPayload - 1) / kPcieMaxPayload;
+}
+
+// Shared by every queue on a port, so the adder uses relaxed atomics
 // (queues are polled by different cores under ThreadScheduler).
 struct PcieCounters {
   std::atomic<uint64_t> transactions{0};
   std::atomic<uint64_t> payload_bytes{0};
 
-  void AddDescriptorBatch(uint32_t descriptors);
-  void AddPacketData(uint32_t bytes);
+  // Charges a whole burst's bus traffic: one relaxed RMW per counter.
+  void Add(uint64_t txns, uint64_t bytes) {
+    transactions.fetch_add(txns, std::memory_order_relaxed);
+    payload_bytes.fetch_add(bytes, std::memory_order_relaxed);
+  }
 };
 
 class NicPort {
@@ -89,9 +106,18 @@ class NicPort {
   // owns the returned packets.
   size_t PollRx(uint16_t q, Packet** out, size_t max);
 
-  // Enqueues a packet for transmission on tx queue `q`. Returns false (and
-  // counts a drop) when the ring is full. Accounts PCIe descriptor+data.
-  bool Transmit(uint16_t q, Packet* p);
+  // What one burst put on a ring.
+  struct RingBurst {
+    uint32_t packets = 0;
+    uint64_t bytes = 0;  // wire bytes of those packets
+  };
+
+  // Enqueues `pkts[0, n)` for transmission on tx queue `q` with one ring
+  // publish. Takes ownership of every packet: those past the ring's free
+  // room are dropped, counted in tx_counters().drops and released. Every
+  // frame is charged its PCIe data DMA, and each counter is updated once
+  // per call.
+  RingBurst Transmit(uint16_t q, Packet* const* pkts, uint32_t n);
 
   // --- wire side (transmit drain) ---
 
@@ -103,8 +129,9 @@ class NicPort {
 
   // Mirrors rx/tx packet/byte/drop counts into registry counters under
   // "<prefix>nic/..." and tracks per-ring occupancy high-water gauges
-  // ("<prefix>nic/rxq<q>/occupancy_hw", ".../txq<q>/occupancy_hw").
-  // No-op when telemetry is disabled; unbound ports pay only null checks.
+  // ("<prefix>nic/rxq<q>/occupancy_hw", ".../txq<q>/occupancy_hw"), once
+  // per ring burst like the port counters. No-op when telemetry is
+  // disabled; unbound ports pay only null checks.
   void BindTelemetry(telemetry::MetricRegistry* registry, const std::string& prefix);
 
   // --- introspection ---
@@ -113,10 +140,10 @@ class NicPort {
   uint16_t num_rx_queues() const { return config_.num_rx_queues; }
   uint16_t num_tx_queues() const { return config_.num_tx_queues; }
 
-  const PortCounters& rx_counters() const { return rx_; }
-  const PortCounters& tx_counters() const { return tx_; }
+  const PortCounters& rx_counters() const { return rx_.counters; }
+  const PortCounters& tx_counters() const { return tx_.counters; }
   const PcieCounters& pcie_counters() const { return pcie_; }
-  uint64_t rx_queue_depth(uint16_t q) const { return rx_rings_[q]->size(); }
+  uint64_t rx_queue_depth(uint16_t q) const { return rx_.rings[q]->size(); }
 
  private:
   struct Staged {
@@ -124,33 +151,35 @@ class NicPort {
     SimTime oldest = 0;
   };
 
+  // One direction of the port: its rings, its counters, and their
+  // registry mirrors (null until BindTelemetry).
+  struct Direction {
+    std::vector<std::unique_ptr<SpscRing<Packet*>>> rings;
+    PortCounters counters;
+    telemetry::Counter* tele_packets = nullptr;
+    telemetry::Counter* tele_bytes = nullptr;
+    telemetry::Counter* tele_drops = nullptr;
+    std::vector<telemetry::Gauge*> tele_ring_hw;  // per ring
+  };
+
   // Deliver with the ingress cycle stamp hoisted out (DeliverBatch reads
   // the cycle counter once per burst, not once per frame).
   void DeliverStamped(Packet* p, SimTime now, uint64_t ingress_cycles);
   void CommitStaged(uint16_t q);
+  // Publishes `pkts[0, n)` to ring `q` of `dir` in one push and releases
+  // the frames past its free room. Charges the bus every frame's data DMA
+  // plus `extra_txns`/`extra_bytes` (rx descriptors), and counts the
+  // burst once into `dir`'s counters and mirrors.
+  RingBurst PushBurst(Direction& dir, uint16_t q, Packet* const* pkts, uint32_t n,
+                      uint64_t extra_txns, uint64_t extra_bytes);
 
   NicConfig config_;
   Steering steering_;
-  std::vector<std::unique_ptr<SpscRing<Packet*>>> rx_rings_;
-  std::vector<std::unique_ptr<SpscRing<Packet*>>> tx_rings_;
+  Direction rx_;
+  Direction tx_;
   std::vector<Staged> staged_;
-  PortCounters rx_;
-  PortCounters tx_;
   PcieCounters pcie_;
   uint16_t tx_drain_rr_ = 0;
-
-  // Registry mirrors; null when telemetry is unbound.
-  struct Telemetry {
-    telemetry::Counter* rx_packets = nullptr;
-    telemetry::Counter* rx_bytes = nullptr;
-    telemetry::Counter* rx_drops = nullptr;
-    telemetry::Counter* tx_packets = nullptr;
-    telemetry::Counter* tx_bytes = nullptr;
-    telemetry::Counter* tx_drops = nullptr;
-    std::vector<telemetry::Gauge*> rx_ring_hw;  // per rx queue
-    std::vector<telemetry::Gauge*> tx_ring_hw;  // per tx queue
-  };
-  std::unique_ptr<Telemetry> tele_;
 };
 
 }  // namespace rb

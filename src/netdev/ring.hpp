@@ -21,8 +21,8 @@
 namespace rb {
 
 // Lock-free SPSC bounded ring. Capacity is rounded up to a power of two.
-// Producer calls TryPush, consumer calls TryPop; size() is approximate when
-// both sides run concurrently.
+// Producer calls TryPush/TryPushBurst, consumer calls TryPop/TryPopBurst;
+// size() is approximate when both sides run concurrently.
 template <typename T>
 class SpscRing {
  public:
@@ -44,6 +44,26 @@ class SpscRing {
     slots_[head & mask_] = std::move(item);
     head_.store(head + 1, std::memory_order_release);
     return true;
+  }
+
+  // Pushes up to `n` items with one head/tail synchronization: a single
+  // acquire of tail_, a straight copy into the free slots, one release of
+  // head_. Returns how many were pushed: `items[0, pushed)` are in the
+  // ring (and may already be popped), the rest stay with the caller.
+  size_t TryPushBurst(const T* items, size_t n) {
+    const size_t head = head_.load(std::memory_order_relaxed);
+    const size_t tail = tail_.load(std::memory_order_acquire);
+    size_t room = mask_ + 1 - (head - tail);
+    if (room > n) {
+      room = n;
+    }
+    for (size_t i = 0; i < room; ++i) {
+      slots_[(head + i) & mask_] = items[i];
+    }
+    if (room > 0) {
+      head_.store(head + room, std::memory_order_release);
+    }
+    return room;
   }
 
   bool TryPop(T* out) {

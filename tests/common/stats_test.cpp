@@ -162,13 +162,12 @@ TEST(JainTest, EmptyAndZeroAreFair) {
 
 TEST(PortCountersTest, AddPacketAndDrop) {
   PortCounters c;
-  c.AddPacket(64);
-  c.AddPacket(128);
-  c.AddDrop();
-  c.AddPacket(1500);
+  c.Add(2, 64 + 128);
+  c.Add(1, 1500, 1);
+  c.Add(0, 0, 2);
   EXPECT_EQ(c.packets, 3u);
   EXPECT_EQ(c.bytes, 64u + 128u + 1500u);
-  EXPECT_EQ(c.drops, 1u);
+  EXPECT_EQ(c.drops, 3u);
 }
 
 }  // namespace

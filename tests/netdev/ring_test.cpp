@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <thread>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace rb {
 namespace {
@@ -52,6 +56,103 @@ TEST(SpscRingTest, WrapAroundPreservesOrder) {
     EXPECT_TRUE(ring.TryPop(&out));
     EXPECT_EQ(out, round * 2 + 1);
   }
+}
+
+TEST(SpscRingTest, PushBurstPartialFit) {
+  SpscRing<int> ring(8);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(ring.TryPush(i));
+  }
+  const int burst[6] = {5, 6, 7, 8, 9, 10};
+  EXPECT_EQ(ring.TryPushBurst(burst, 6), 3u);  // only the prefix fits
+  EXPECT_EQ(ring.size(), 8u);
+  int out[16];
+  ASSERT_EQ(ring.TryPopBurst(out, 16), 8u);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(out[i], i);
+  }
+}
+
+TEST(SpscRingTest, PushBurstExactFill) {
+  SpscRing<int> ring(8);
+  int burst[8];
+  std::iota(burst, burst + 8, 0);
+  EXPECT_EQ(ring.TryPushBurst(burst, 8), 8u);
+  EXPECT_EQ(ring.size(), ring.capacity());
+  EXPECT_EQ(ring.TryPushBurst(burst, 1), 0u);
+  EXPECT_FALSE(ring.TryPush(99));
+  int v = -1;
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(ring.TryPop(&v));
+    EXPECT_EQ(v, i);
+  }
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(SpscRingTest, PushBurstWrapsAcrossRingEnd) {
+  SpscRing<int> ring(8);
+  int v;
+  for (int i = 0; i < 6; ++i) {  // move head and tail to slot 6
+    ASSERT_TRUE(ring.TryPush(-1));
+    ASSERT_TRUE(ring.TryPop(&v));
+  }
+  int burst[8];
+  std::iota(burst, burst + 8, 100);
+  EXPECT_EQ(ring.TryPushBurst(burst, 8), 8u);  // slots 6, 7, then 0..5
+  int out[8];
+  ASSERT_EQ(ring.TryPopBurst(out, 8), 8u);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(out[i], 100 + i);
+  }
+}
+
+TEST(SpscRingTest, PushBurstOfZeroIsNoOp) {
+  SpscRing<int> ring(4);
+  const int item = 7;
+  EXPECT_EQ(ring.TryPushBurst(&item, 0), 0u);
+  EXPECT_TRUE(ring.empty());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(ring.TryPush(i));
+  }
+  EXPECT_EQ(ring.TryPushBurst(&item, 0), 0u);  // full ring, nothing asked
+  EXPECT_EQ(ring.size(), 4u);
+}
+
+// Bursts of random size against a burst consumer of random size: every
+// item arrives exactly once, in order, including across partial pushes
+// that leave the tail of a burst for the producer's next try.
+TEST(SpscRingTest, ConcurrentBurstProducerConsumer) {
+  SpscRing<uint64_t> ring(256);
+  constexpr uint64_t kItems = 200000;
+  std::thread producer([&] {
+    Rng rng(11);
+    uint64_t items[64];
+    uint64_t next = 0;
+    while (next < kItems) {
+      const size_t n = std::min<uint64_t>(rng.NextRange(1, 64), kItems - next);
+      for (size_t i = 0; i < n; ++i) {
+        items[i] = next + i;
+      }
+      size_t pushed = 0;
+      while (pushed < n) {
+        pushed += ring.TryPushBurst(items + pushed, n - pushed);
+      }
+      next += n;
+    }
+  });
+  Rng rng(12);
+  uint64_t out[64];
+  uint64_t expected = 0;
+  while (expected < kItems) {
+    const size_t n = ring.TryPopBurst(out, rng.NextRange(1, 64));
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(out[i], expected);
+      expected++;
+    }
+  }
+  producer.join();
+  EXPECT_EQ(expected, kItems);
+  EXPECT_TRUE(ring.empty());
 }
 
 // Concurrency smoke test: one producer, one consumer, every item arrives

@@ -288,6 +288,7 @@ TEST_F(ProfilerTest, EndToEndPipelineProfileCoversMeasuredCycles) {
   // lookup phase scope nested beneath the IPLookup element.
   bool saw_task = false;
   bool saw_lpm = false;
+  bool saw_tx = false;
   for (const tele::ScopeTotals& t : snap.AggregateByName()) {
     if (t.name.rfind("task/", 0) == 0) {
       saw_task = true;
@@ -296,9 +297,17 @@ TEST_F(ProfilerTest, EndToEndPipelineProfileCoversMeasuredCycles) {
       saw_lpm = true;
       EXPECT_GT(t.calls, 0u);
     }
+    if (t.name == "netdev/tx") {
+      // Each transmit burst is attributed the packets and bytes it put on
+      // a tx ring: every forwarded 64 B frame, once.
+      saw_tx = true;
+      EXPECT_EQ(t.packets, forwarded);
+      EXPECT_EQ(t.bytes, 64 * forwarded);
+    }
   }
   EXPECT_TRUE(saw_task);
   EXPECT_TRUE(saw_lpm);
+  EXPECT_TRUE(saw_tx);
 }
 #endif  // RB_PROFILE
 

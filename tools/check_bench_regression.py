@@ -36,7 +36,8 @@ Cycle counts move a lot across machines (CI runners, laptops, the paper's
 Nehalem), so the default tolerances are deliberately loose: a metric fails
 only when the current run is worse than the baseline by the per-metric
 ratio/absolute bound below. Structural checks (a workload or scope
-disappearing, attribution coverage collapsing) are strict.
+disappearing, attribution coverage collapsing, the router number not
+summing exactly its non-harness root scopes) are strict.
 
 A workload-level cycles/packet *improvement* beyond
 --improvement-tolerance also fails, as "baseline stale": a large genuine
@@ -66,31 +67,16 @@ RULES = {
 
 STRUCTURAL_SCOPE_MIN_SHARE = 0.05  # only sizeable scopes must persist
 
-# Ceiling on the harness's own share of profiled cycles per workload
-# (sum of self-cycle shares over every "harness/*" scope in the *current*
-# run). The bench exists to measure the router; if inject/drain scaffolding
-# creeps back above this, pipeline_cycles_per_packet stops meaning
-# "router cycles" and the whole baseline silently degrades into a harness
-# benchmark. Machine-independent: a share is a ratio of this run's cycles.
-# Assumes a steady-state (full-size) run: a --smoke run's 8k packets never
-# amortize cold-start fills or recycle the pool, so its harness share
-# reads high. Gate on full runs — they complete in under a second.
-HARNESS_SHARE_MAX = 0.15
-
-# Per-workload ceilings that override HARNESS_SHARE_MAX (and the
-# --harness-share-max flag). The harness's per-packet cost scales with
-# frame bytes -- injection copies the frame, drain accounts its length --
-# while the element work it brackets (header checks, LPM lookups) is
-# per-packet. A big-frame mix therefore cannot meet the 64 B ceiling no
-# matter how lean the injector gets.
-HARNESS_SHARE_MAX_BY_WORKLOAD = {
-    # Abilene's trimodal mix averages ~730 B/frame, ~11x the 64 B
-    # workloads' payload. Even with refills bounded to the two-line frame
-    # head, first-touch fills copy full frames and drain still walks the
-    # bytes. 0.25 is the measured floor with the zero-copy injector plus
-    # headroom for machine variance -- not a license to regress.
-    "fwd_abilene": 0.25,
-}
+# The router number is router time only. bench_fig9_breakdown times frame
+# generation under harness/* root scopes and keeps those cycles out of
+# pipeline_cycles_per_packet, as perfbench keeps FillFrame out of router
+# time; it reports every root scope's cycles/packet under "roots". If
+# harness cycles leaked back into the router number, it would stop
+# meaning "router cycles" and the whole baseline would silently degrade
+# into a harness benchmark, so the current run's router number must equal
+# the sum of its non-harness roots. Machine-independent: an identity
+# between numbers of one run, exact up to float rounding.
+ROUTER_ROOTS_REL_TOL = 1e-9
 
 
 def flatten(doc):
@@ -122,20 +108,36 @@ def baseline_share(doc, path):
         return 0.0
 
 
-def harness_share(workload):
-    """Summed self-cycle share of the harness/* scopes in one workload."""
-    total = 0.0
-    for sname, s in workload.get("scopes", {}).items():
-        if sname.startswith("harness/"):
-            try:
-                total += float(s.get("share", 0.0))
-            except (TypeError, ValueError):
-                pass
-    return total
+def check_router_roots(wname, workload):
+    """(failure or None, info) for one workload's router-number identity."""
+    roots = workload.get("roots")
+    if not isinstance(roots, dict) or not roots:
+        return (
+            f"workloads.{wname}: no 'roots' object, so pipeline_cycles_per_packet "
+            f"cannot be checked to be router time only",
+            None,
+        )
+    router = sum(float(v) for k, v in roots.items() if not k.startswith("harness/"))
+    harness = sum(float(v) for k, v in roots.items() if k.startswith("harness/"))
+    n_router = sum(1 for k in roots if not k.startswith("harness/"))
+    pipeline = float(workload.get("pipeline_cycles_per_packet", 0.0))
+    if abs(pipeline - router) > ROUTER_ROOTS_REL_TOL * max(1.0, abs(router)):
+        return (
+            f"workloads.{wname}: pipeline_cycles_per_packet {pipeline:.3f} != "
+            f"{router:.3f}, the sum of its {n_router} non-harness root scopes "
+            f"(harness/* roots hold {harness:.3f}; the router number must "
+            f"count router scopes only)",
+            None,
+        )
+    return (
+        None,
+        f"workloads.{wname}: router {pipeline:.1f} cycles/packet = sum of "
+        f"{n_router} non-harness root scopes; harness/* {harness:.1f} "
+        f"cycles/packet of frame generation outside it",
+    )
 
 
-def compare(baseline, current, cycles_tol, improvement_tol=4.0,
-            harness_share_max=HARNESS_SHARE_MAX):
+def compare(baseline, current, cycles_tol, improvement_tol=4.0):
     failures = []
     infos = []
     base_metrics = flatten(baseline)
@@ -145,22 +147,14 @@ def compare(baseline, current, cycles_tol, improvement_tol=4.0,
         if wname not in current.get("workloads", {}):
             failures.append(f"workload '{wname}' missing from current run")
 
-    # Harness self-share ceiling: checked on the current run alone, so a
-    # regression fails even if the committed baseline predates the check.
+    # Router-number identity: checked on the current run alone, so a leak
+    # fails even if the committed baseline predates the check.
     for wname, w in sorted(current.get("workloads", {}).items()):
-        share = harness_share(w)
-        ceiling = HARNESS_SHARE_MAX_BY_WORKLOAD.get(wname, harness_share_max)
-        if share > ceiling:
-            failures.append(
-                f"workloads.{wname}: harness/* self-share {share:.3f} > "
-                f"{ceiling:.3f} allowed (the bench is measuring its "
-                f"own injection/drain scaffolding, not the router)"
-            )
+        failure, info = check_router_roots(wname, w)
+        if failure:
+            failures.append(failure)
         else:
-            infos.append(
-                f"workloads.{wname}: harness/* self-share {share:.3f} "
-                f"(ok, ceiling {ceiling:.2f})"
-            )
+            infos.append(info)
 
     for path, (kind, base_val) in sorted(base_metrics.items()):
         rule = RULES.get(kind)
@@ -551,23 +545,37 @@ def self_test():
             "fwd_64": {
                 "pipeline_cycles_per_packet": 800.0,
                 "attribution_coverage": 0.99,
+                "roots": {
+                    "harness/inject": 40.0,
+                    "netdev/rx_deliver": 300.0,
+                    "sched/run": 420.0,
+                    "netdev/tx_drain": 80.0,
+                },
                 "scopes": {
                     "netdev/tx": {"cycles_per_packet": 115.0, "share": 0.14},
                     "phase/lpm_lookup": {"cycles_per_packet": 100.0, "share": 0.12},
                     "tiny/noise": {"cycles_per_packet": 10.0, "share": 0.01},
                     "harness/inject": {"cycles_per_packet": 40.0, "share": 0.05},
-                    "harness/drain": {"cycles_per_packet": 24.0, "share": 0.03},
                 },
             }
         },
     }
+
+    def scaled(doc, factor):
+        """`doc` with its router time (number and root scopes) x factor."""
+        out = json.loads(json.dumps(doc))
+        w = out["workloads"]["fwd_64"]
+        w["pipeline_cycles_per_packet"] *= factor
+        for name in w["roots"]:
+            if not name.startswith("harness/"):
+                w["roots"][name] *= factor
+        return out
+
     # 1. identical run passes
     f, _ = compare(base, base, cycles_tol=1.5)
     assert not f, f"identical run flagged: {f}"
     # 2. injected 2x slowdown fails under the self-test tolerance of 1.5x
-    slow = json.loads(json.dumps(base))
-    slow["workloads"]["fwd_64"]["pipeline_cycles_per_packet"] = 1600.0
-    f, _ = compare(base, slow, cycles_tol=1.5)
+    f, _ = compare(base, scaled(base, 2.0), cycles_tol=1.5)
     assert any("pipeline_cycles_per_packet" in x for x in f), f"2x slowdown not caught: {f}"
     # 3. coverage collapse fails regardless of tolerance
     bad_cov = json.loads(json.dumps(base))
@@ -584,13 +592,9 @@ def self_test():
     f, _ = compare(base, empty, cycles_tol=1.5)
     assert any("fwd_64" in x for x in f), f"missing workload not caught: {f}"
     # 6. a modest speedup passes; an extreme one fails as "baseline stale"
-    fast = json.loads(json.dumps(base))
-    fast["workloads"]["fwd_64"]["pipeline_cycles_per_packet"] = 400.0
-    f, _ = compare(base, fast, cycles_tol=1.5)
+    f, _ = compare(base, scaled(base, 0.5), cycles_tol=1.5)
     assert not f, f"modest speedup flagged: {f}"
-    very_fast = json.loads(json.dumps(base))
-    very_fast["workloads"]["fwd_64"]["pipeline_cycles_per_packet"] = 100.0
-    f, _ = compare(base, very_fast, cycles_tol=1.5, improvement_tol=4.0)
+    f, _ = compare(base, scaled(base, 0.125), cycles_tol=1.5, improvement_tol=4.0)
     assert any("baseline stale" in x for x in f), f"stale baseline not caught: {f}"
     # Scope-level speedups never fail, no matter how large.
     scope_fast = json.loads(json.dumps(base))
@@ -607,35 +611,28 @@ def self_test():
     noise_slow["workloads"]["fwd_64"]["scopes"]["tiny/noise"]["cycles_per_packet"] = 500.0
     f, _ = compare(base, noise_slow, cycles_tol=1.5)
     assert not f, f"sub-share scope noise flagged: {f}"
-    # 8. harness self-share ceiling: the healthy baseline (0.08 summed) is
-    # under the 0.15 default; a run where inject balloons fails even though
-    # each individual harness scope moved less than the scope_share abs
-    # tolerance would allow
-    taxed = json.loads(json.dumps(base))
-    taxed["workloads"]["fwd_64"]["scopes"]["harness/inject"]["share"] = 0.10
-    taxed["workloads"]["fwd_64"]["scopes"]["harness/drain"]["share"] = 0.07
-    f, _ = compare(base, taxed, cycles_tol=1.5)
-    assert any("harness/* self-share" in x for x in f), f"harness tax not caught: {f}"
-    # The ceiling binds on the current run alone: a baseline that already
-    # exceeds it does not grandfather the current run in
-    taxed_base = json.loads(json.dumps(taxed))
-    f, _ = compare(taxed_base, taxed, cycles_tol=1.5)
-    assert any("harness/* self-share" in x for x in f), f"grandfathered harness tax: {f}"
-    # And a custom ceiling is honored
-    f, _ = compare(base, base, cycles_tol=1.5, harness_share_max=0.05)
-    assert any("harness/* self-share" in x for x in f), f"custom ceiling ignored: {f}"
-    # Per-workload overrides: Abilene's byte-scaled harness cost gets its
-    # documented 0.25 ceiling (0.22 passes), which still binds (0.30 fails).
-    abilene = json.loads(json.dumps(base))
-    abilene["workloads"]["fwd_abilene"] = abilene["workloads"].pop("fwd_64")
-    abilene["workloads"]["fwd_abilene"]["scopes"]["harness/inject"]["share"] = 0.17
-    abilene["workloads"]["fwd_abilene"]["scopes"]["harness/drain"]["share"] = 0.05
-    f, _ = compare(abilene, abilene, cycles_tol=1.5)
-    assert not f, f"override ceiling not honored for fwd_abilene: {f}"
-    over = json.loads(json.dumps(abilene))
-    over["workloads"]["fwd_abilene"]["scopes"]["harness/inject"]["share"] = 0.25
-    f, _ = compare(abilene, over, cycles_tol=1.5)
-    assert any("harness/* self-share" in x for x in f), f"override ceiling toothless: {f}"
+    # 8. the router number is router time only: a run whose harness cycles
+    # leak into pipeline_cycles_per_packet fails, even though it is well
+    # inside the cycles tolerance
+    leaky = json.loads(json.dumps(base))
+    leaky["workloads"]["fwd_64"]["pipeline_cycles_per_packet"] = 840.0  # router + harness
+    f, _ = compare(base, leaky, cycles_tol=1.5)
+    assert any("non-harness root scopes" in x for x in f), f"harness leak not caught: {f}"
+    # The identity binds on the current run alone: a leaky baseline does
+    # not grandfather a leaky current run in
+    f, _ = compare(leaky, leaky, cycles_tol=1.5)
+    assert any("non-harness root scopes" in x for x in f), f"grandfathered harness leak: {f}"
+    # A run that does not report its root scopes cannot be checked, so fails
+    rootless = json.loads(json.dumps(base))
+    del rootless["workloads"]["fwd_64"]["roots"]
+    f, _ = compare(base, rootless, cycles_tol=1.5)
+    assert any("no 'roots'" in x for x in f), f"unverifiable router number passed: {f}"
+    # Frame generation may cost what it costs: it is reported, not gated
+    heavy_harness = json.loads(json.dumps(base))
+    heavy_harness["workloads"]["fwd_64"]["roots"]["harness/inject"] = 400.0
+    f, infos = compare(base, heavy_harness, cycles_tol=1.5)
+    assert not f, f"harness cost outside the router number flagged: {f}"
+    assert any("harness/* 400.0" in x for x in infos), f"harness cost not reported: {infos}"
 
     # 9. bench_overload structural checks: a healthy dump passes; broken
     # conservation, an unfair admission run, an inverted on/off ordering,
@@ -902,14 +899,6 @@ def main():
         help="allowed workload cycles/packet shrink ratio before the committed "
         "baseline is declared stale (default 4.0)",
     )
-    ap.add_argument(
-        "--harness-share-max",
-        type=float,
-        default=HARNESS_SHARE_MAX,
-        help="max summed self-share of harness/* scopes per workload in the "
-        f"current run (default {HARNESS_SHARE_MAX}; the documented per-"
-        "workload overrides in HARNESS_SHARE_MAX_BY_WORKLOAD take precedence)",
-    )
     ap.add_argument("--self-test", action="store_true", help="run the built-in checks and exit")
     ap.add_argument(
         "--overload",
@@ -978,7 +967,7 @@ def main():
     baseline = load(args.baseline)
     current = load(args.current)
     failures, infos = compare(baseline, current, args.cycles_tolerance,
-                              args.improvement_tolerance, args.harness_share_max)
+                              args.improvement_tolerance)
 
     for line in infos:
         print(f"  ok: {line}")
