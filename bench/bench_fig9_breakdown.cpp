@@ -26,10 +26,10 @@
 #include "common/flags.hpp"
 #include "common/strings.hpp"
 #include "core/single_server_router.hpp"
+#include "harness/bottleneck.hpp"
 #include "harness/metrics_out.hpp"
 #include "harness/report.hpp"
 #include "model/throughput.hpp"
-#include "telemetry/bottleneck.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/perf_counters.hpp"

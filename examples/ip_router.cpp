@@ -95,10 +95,8 @@ int main(int argc, char** argv) {
   rb::telemetry::PathTracer tracer(tc);
   router.EnableTelemetry(&registry, &tracer);
   router.Initialize();
-  if (const rb::Dir24_8* dir = router.dir_table()) {
-    printf("  table memory: %.1f MiB (tbl24 + %zu tbl_long segments)\n",
-           dir->memory_bytes() / 1048576.0, dir->num_long_segments());
-  }
+  printf("  table memory: %.1f MiB (tbl24 + %zu tbl_long segments)\n",
+         router.table().memory_bytes() / 1048576.0, router.table().num_long_segments());
 
   // Live control plane: element handlers plus the tracer knobs and
   // ctl.stop, served off the data path's thread.

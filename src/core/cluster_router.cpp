@@ -195,16 +195,20 @@ void FunctionalCluster::BuildNode(uint16_t self) {
   uint16_t n = config_.num_nodes;
 
   // Routing table: one /16 per output node plus filler routes that also
-  // resolve to valid nodes (keeps the table realistically populated).
-  node.table = std::make_unique<Dir24_8>();
+  // resolve to valid nodes (keeps the table realistically populated). A
+  // filler /24 drawn twice keeps its last next hop.
+  std::vector<RouteEntry> routes;
+  routes.reserve(n + config_.routes);
   for (uint16_t j = 0; j < n; ++j) {
-    node.table->Insert((10u << 24) | (static_cast<uint32_t>(j) << 16), 16, j + 1u);
+    routes.push_back({(10u << 24) | (static_cast<uint32_t>(j) << 16), 16, j + 1u});
   }
   Rng rng(config_.seed + self);
   for (size_t k = 0; k < config_.routes; ++k) {
     uint32_t prefix = (192u << 24) | (static_cast<uint32_t>(rng.Next()) & 0x00ffff00u);
-    node.table->Insert(prefix, 24, 1 + static_cast<uint32_t>(rng.NextBounded(n)));
+    routes.push_back({prefix, 24, 1 + static_cast<uint32_t>(rng.NextBounded(n))});
   }
+  node.table = std::make_unique<Dir24_8>();
+  node.table->InsertAll(std::move(routes));
 
   // Port 0: external. Ports 1..n-1: internal, MAC-steered, one rx queue
   // per output node.

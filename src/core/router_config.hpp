@@ -10,9 +10,6 @@
 
 namespace rb {
 
-// Selects the LPM structure backing the IP-routing application's table.
-enum class LpmKind { kDir24_8, kRadixTrie };
-
 // Configuration for one RouteBricks server (a "linecard" of the cluster,
 // or a standalone software router).
 struct SingleServerConfig {
@@ -41,12 +38,8 @@ struct SingleServerConfig {
   // test flip it on to exercise the live `.flows`/`.hi`/`.lo` handlers.
   bool stateful_nat = false;
   size_t nat_capacity = 4096;  // flow-table slots (== mapping ports) per Nat
-  // IP routing.
+  // IP routing (a DIR-24-8 table built from these generated routes).
   TableGenConfig table;
-  // Which LPM structure backs the routing table: the flat DIR-24-8 is the
-  // data-plane default; the radix trie is the reference implementation
-  // kept selectable for differential testing.
-  LpmKind lpm = LpmKind::kDir24_8;
   // IPsec.
   EspConfig esp;
 

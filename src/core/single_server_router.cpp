@@ -11,7 +11,6 @@
 #include "click/elements/to_device.hpp"
 #include "common/log.hpp"
 #include "common/strings.hpp"
-#include "lookup/radix_trie.hpp"
 
 namespace rb {
 
@@ -27,11 +26,7 @@ SingleServerRouter::SingleServerRouter(const SingleServerConfig& config) : confi
     ports_.push_back(std::make_unique<NicPort>(nc));
   }
   if (config.app == App::kIpRouting) {
-    if (config.lpm == LpmKind::kRadixTrie) {
-      table_ = std::make_unique<RadixTrie>();
-    } else {
-      table_ = std::make_unique<Dir24_8>();
-    }
+    table_ = std::make_unique<Dir24_8>();
     TableGenConfig tg = config.table;
     tg.num_next_hops = static_cast<uint32_t>(config.num_ports);
     table_->InsertAll(GenerateRoutingTable(tg));

@@ -48,12 +48,8 @@ class SingleServerRouter {
   NicPort& port(int i) { return *ports_[static_cast<size_t>(i)]; }
   PacketPool& pool() { return *pool_; }
   Router& graph() { return router_; }
-  // The routing table behind the LpmTable interface (Dir24_8 by default,
-  // the reference trie when config.lpm selects it).
-  const LpmTable& table() const { return *table_; }
-  // Downcast for Dir24_8-specific introspection (memory footprint,
-  // segment counts); nullptr when another structure backs the table.
-  const Dir24_8* dir_table() const { return dynamic_cast<const Dir24_8*>(table_.get()); }
+  // The IP-routing application's DIR-24-8 table.
+  const Dir24_8& table() const { return *table_; }
 
   // Injects a frame into `port` (as the wire would) at simulated time t.
   void DeliverFrame(int port, Packet* p, SimTime t);
@@ -89,7 +85,7 @@ class SingleServerRouter {
   SingleServerConfig config_;
   std::unique_ptr<PacketPool> pool_;
   std::vector<std::unique_ptr<NicPort>> ports_;
-  std::unique_ptr<LpmTable> table_;
+  std::unique_ptr<Dir24_8> table_;
   Router router_;
   bool initialized_ = false;
   telemetry::MetricRegistry* tele_registry_ = nullptr;

@@ -1,4 +1,4 @@
-#include "telemetry/bottleneck.hpp"
+#include "harness/bottleneck.hpp"
 
 #include <algorithm>
 #include <limits>

@@ -3,8 +3,8 @@
 // bus loads) with a model::ServerSpec's empirical capacity bounds to emit
 // the paper's CPU / memory / NIC verdict (§4.3, §5.3: "the achievable
 // rate is the minimum over components; the arg-min is the bottleneck").
-#ifndef RB_TELEMETRY_BOTTLENECK_HPP_
-#define RB_TELEMETRY_BOTTLENECK_HPP_
+#ifndef RB_HARNESS_BOTTLENECK_HPP_
+#define RB_HARNESS_BOTTLENECK_HPP_
 
 #include <string>
 #include <vector>
@@ -71,4 +71,4 @@ BottleneckVerdict AnalyzeBottleneck(const MeasuredWorkload& w, const ServerSpec&
 }  // namespace telemetry
 }  // namespace rb
 
-#endif  // RB_TELEMETRY_BOTTLENECK_HPP_
+#endif  // RB_HARNESS_BOTTLENECK_HPP_

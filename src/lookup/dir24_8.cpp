@@ -1,99 +1,70 @@
 #include "lookup/dir24_8.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/log.hpp"
 #include "common/prefetch.hpp"
 
 namespace rb {
 
-Dir24_8::Dir24_8()
-    : tbl24_(1u << 24, 0), depth24_(1u << 24, 0) {
+Dir24_8::Dir24_8() : tbl24_(1u << 24, 0) {
   next_hops_.push_back(kNoRoute);  // index 0 reserved
 }
 
-uint16_t Dir24_8::InternNextHop(uint32_t next_hop) {
-  if (next_hop == kNoRoute) {
-    return 0;
+void Dir24_8::InsertAll(std::vector<RouteEntry> routes) {
+  RB_CHECK_MSG(size_ == 0, "Dir24_8 is built once: InsertAll on a loaded table");
+  for (RouteEntry& r : routes) {
+    RB_CHECK(r.length <= 32);
+    r.prefix = NormalizePrefix(r.prefix, r.length);
   }
-  auto it = next_hop_index_.find(next_hop);
-  if (it != next_hop_index_.end()) {
-    return it->second;
+  // Shortest prefix first, so each route overwrites the shorter ones it
+  // covers. The sort is stable: a repeated prefix/length keeps its list
+  // order, and its last entry is written last.
+  std::stable_sort(routes.begin(), routes.end(), [](const RouteEntry& a, const RouteEntry& b) {
+    return a.length != b.length ? a.length < b.length : a.prefix < b.prefix;
+  });
+
+  std::unordered_map<uint32_t, uint16_t> hop_index;
+  for (size_t i = 0; i < routes.size(); ++i) {
+    const RouteEntry& r = routes[i];
+    if (i == 0 || r.length != routes[i - 1].length || r.prefix != routes[i - 1].prefix) {
+      size_++;
+    }
+    uint16_t hop = 0;  // kNoRoute keeps index 0
+    if (r.next_hop != kNoRoute) {
+      auto [it, added] =
+          hop_index.try_emplace(r.next_hop, static_cast<uint16_t>(next_hops_.size()));
+      if (added) {
+        RB_CHECK_MSG(next_hops_.size() < kMaxNextHops,
+                     "too many distinct next hops for 15-bit index");
+        next_hops_.push_back(r.next_hop);
+      }
+      hop = it->second;
+    }
+
+    uint16_t& slot = tbl24_[r.prefix >> 8];
+    if (r.length <= 24) {
+      std::fill_n(&slot, size_t{1} << (24 - r.length), hop);
+      continue;
+    }
+    if (!(slot & kExtendedBit)) {
+      // The slot's first /25-/32. Every <= /24 route is already in place,
+      // so the segment starts as the slot's final short-prefix hop.
+      size_t seg = tbl_long_.size() / kSegmentSize;
+      RB_CHECK_MSG(seg < kMaxNextHops, "too many tbl_long segments for 15-bit index");
+      tbl_long_.insert(tbl_long_.end(), kSegmentSize, slot);
+      slot = static_cast<uint16_t>(kExtendedBit | seg);
+    }
+    size_t base = static_cast<size_t>(slot & ~kExtendedBit) * kSegmentSize;
+    std::fill_n(&tbl_long_[base + (r.prefix & 0xff)], size_t{1} << (32 - r.length), hop);
   }
-  RB_CHECK_MSG(next_hops_.size() < kMaxNextHops, "too many distinct next hops for 15-bit index");
-  uint16_t idx = static_cast<uint16_t>(next_hops_.size());
-  next_hops_.push_back(next_hop);
-  next_hop_index_.emplace(next_hop, idx);
-  return idx;
+  // Growth slack would be heap that memory_bytes() does not count.
+  tbl_long_.shrink_to_fit();
+  next_hops_.shrink_to_fit();
 }
 
 uint32_t Dir24_8::ResolveNextHop(uint16_t index) const { return next_hops_[index]; }
-
-uint16_t Dir24_8::AllocateSegment(uint32_t slot24) {
-  size_t seg = tbl_long_.size() / kSegmentSize;
-  RB_CHECK_MSG(seg < kMaxNextHops, "too many tbl_long segments for 15-bit index");
-  // Seed the new segment with the slot's current (<= /24) route so that
-  // addresses not covered by the longer prefix keep resolving.
-  uint16_t seed_hop = tbl24_[slot24];
-  uint8_t seed_depth = depth24_[slot24];
-  tbl_long_.insert(tbl_long_.end(), kSegmentSize, seed_hop);
-  depth_long_.insert(depth_long_.end(), kSegmentSize, seed_depth);
-  tbl24_[slot24] = static_cast<uint16_t>(kExtendedBit | seg);
-  // depth24_ keeps tracking the best <= /24 prefix covering the slot so
-  // that later short-prefix inserts can update segment entries correctly.
-  return static_cast<uint16_t>(seg);
-}
-
-void Dir24_8::Insert(uint32_t prefix, uint8_t length, uint32_t next_hop) {
-  RB_CHECK(length <= 32);
-  prefix = NormalizePrefix(prefix, length);
-  uint16_t hop_idx = InternNextHop(next_hop);
-  uint64_t route_key = (static_cast<uint64_t>(prefix) << 8) | length;
-  if (routes_.insert(route_key).second) {
-    size_++;
-  }
-
-  if (length <= 24) {
-    uint32_t first = prefix >> 8;
-    uint32_t count = 1u << (24 - length);
-    for (uint32_t slot = first; slot < first + count; ++slot) {
-      if (tbl24_[slot] & kExtendedBit) {
-        // Update the segment's entries whose depth is <= this prefix.
-        uint32_t seg = tbl24_[slot] & ~kExtendedBit;
-        size_t base = static_cast<size_t>(seg) * kSegmentSize;
-        for (size_t i = 0; i < kSegmentSize; ++i) {
-          if (depth_long_[base + i] <= length) {
-            tbl_long_[base + i] = hop_idx;
-            depth_long_[base + i] = length;
-          }
-        }
-        if (depth24_[slot] <= length) {
-          depth24_[slot] = length;
-        }
-      } else if (depth24_[slot] <= length) {
-        tbl24_[slot] = hop_idx;
-        depth24_[slot] = length;
-      }
-    }
-  } else {
-    uint32_t slot = prefix >> 8;
-    uint32_t seg;
-    if (tbl24_[slot] & kExtendedBit) {
-      seg = tbl24_[slot] & ~kExtendedBit;
-    } else {
-      seg = AllocateSegment(slot);
-    }
-    size_t base = static_cast<size_t>(seg) * kSegmentSize;
-    uint32_t first = prefix & 0xff;
-    uint32_t count = 1u << (32 - length);
-    for (uint32_t i = first; i < first + count; ++i) {
-      if (depth_long_[base + i] <= length) {
-        tbl_long_[base + i] = hop_idx;
-        depth_long_[base + i] = length;
-      }
-    }
-  }
-}
 
 uint32_t Dir24_8::Lookup(uint32_t addr) const {
   uint16_t entry = tbl24_[addr >> 8];

@@ -13,15 +13,15 @@
 // Lookups therefore cost one memory access for prefixes up to /24 (the
 // vast majority in real tables) and two for longer ones.
 //
-// Extension beyond the original paper: incremental insertion. We keep a
-// shadow per-slot prefix-length array so inserts in any order produce the
-// same table as a bulk build (longest prefix wins per slot); the property
-// tests verify this against the radix trie.
+// The table is built once, from the whole route list: routes sorted by
+// (length, prefix) fill tbl24 shortest prefix first, so a longer prefix
+// simply overwrites the slots it covers, and the /25-/32 routes go last,
+// each tbl_long segment seeded from its slot's final <= /24 hop. Nothing
+// but the lookup arrays outlives the build. RadixTrie stays the mutable
+// reference; the property tests check the two agree.
 #ifndef RB_LOOKUP_DIR24_8_HPP_
 #define RB_LOOKUP_DIR24_8_HPP_
 
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "lookup/lpm.hpp"
@@ -32,7 +32,12 @@ class Dir24_8 : public LpmTable {
  public:
   Dir24_8();
 
-  void Insert(uint32_t prefix, uint8_t length, uint32_t next_hop) override;
+  // Builds the table from `routes`, in any order. A prefix/length listed
+  // more than once resolves to its last entry and counts once in size(),
+  // as RadixTrie::InsertAll would leave it. The table is built once: a
+  // second InsertAll on a loaded table fails an RB_CHECK.
+  void InsertAll(std::vector<RouteEntry> routes);
+
   uint32_t Lookup(uint32_t addr) const override;
   // Batch lookup with TBL24 prefetch pipelining: random destinations make
   // every tbl24 access a likely cache miss into a 32 MB array, so the line
@@ -54,18 +59,11 @@ class Dir24_8 : public LpmTable {
   // enough to overlap a DRAM miss, shallow enough to stay within a burst.
   static constexpr size_t kPrefetchAhead = 8;
 
-  uint16_t InternNextHop(uint32_t next_hop);
   uint32_t ResolveNextHop(uint16_t index) const;
-  // Allocates a tbl_long segment seeded from the current tbl24 slot state.
-  uint16_t AllocateSegment(uint32_t slot24);
 
-  std::vector<uint16_t> tbl24_;        // 2^24 entries
-  std::vector<uint8_t> depth24_;       // shadow: prefix length per slot (0 = none)
-  std::vector<uint16_t> tbl_long_;     // segments of 256
-  std::vector<uint8_t> depth_long_;    // shadow for tbl_long
-  std::vector<uint32_t> next_hops_;    // index -> value; [0] == kNoRoute
-  std::unordered_map<uint32_t, uint16_t> next_hop_index_;
-  std::unordered_set<uint64_t> routes_;  // (prefix << 8) | length, for size()
+  std::vector<uint16_t> tbl24_;      // 2^24 entries
+  std::vector<uint16_t> tbl_long_;   // segments of 256
+  std::vector<uint32_t> next_hops_;  // index -> value; [0] == kNoRoute
   size_t size_ = 0;
 };
 

@@ -1,10 +1,12 @@
-// Longest-prefix-match interface shared by the lookup structures.
+// Longest-prefix-match lookup interface shared by the lookup structures.
+// It is lookup-only: each structure is loaded through its own InsertAll
+// (Dir24_8 builds once from the whole route list; RadixTrie, the mutable
+// reference, also takes Insert and Remove).
 #ifndef RB_LOOKUP_LPM_HPP_
 #define RB_LOOKUP_LPM_HPP_
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace rb {
 
@@ -20,9 +22,6 @@ struct RouteEntry {
 class LpmTable {
  public:
   virtual ~LpmTable() = default;
-
-  // Inserts (or replaces) a route.
-  virtual void Insert(uint32_t prefix, uint8_t length, uint32_t next_hop) = 0;
 
   // Returns the next hop for `addr`, or kNoRoute when nothing matches.
   virtual uint32_t Lookup(uint32_t addr) const = 0;
@@ -43,12 +42,6 @@ class LpmTable {
   virtual std::string name() const = 0;
 
   static constexpr uint32_t kNoRoute = 0;
-
-  void InsertAll(const std::vector<RouteEntry>& routes) {
-    for (const auto& r : routes) {
-      Insert(r.prefix, r.length, r.next_hop);
-    }
-  }
 };
 
 // Normalizes a prefix: zeroes bits beyond `length`.

@@ -22,6 +22,12 @@ void RadixTrie::Insert(uint32_t prefix, uint8_t length, uint32_t next_hop) {
   node->next_hop = next_hop;
 }
 
+void RadixTrie::InsertAll(const std::vector<RouteEntry>& routes) {
+  for (const RouteEntry& r : routes) {
+    Insert(r.prefix, r.length, r.next_hop);
+  }
+}
+
 uint32_t RadixTrie::Lookup(uint32_t addr) const {
   const Node* node = &root_;
   uint32_t best = kNoRoute;

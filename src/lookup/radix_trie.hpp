@@ -8,6 +8,7 @@
 #define RB_LOOKUP_RADIX_TRIE_HPP_
 
 #include <memory>
+#include <vector>
 
 #include "lookup/lpm.hpp"
 
@@ -17,13 +18,17 @@ class RadixTrie : public LpmTable {
  public:
   RadixTrie() = default;
 
-  void Insert(uint32_t prefix, uint8_t length, uint32_t next_hop) override;
+  // Inserts (or replaces) a route.
+  void Insert(uint32_t prefix, uint8_t length, uint32_t next_hop);
+  // Inserts each route in list order, so a repeated prefix/length keeps
+  // its last entry.
+  void InsertAll(const std::vector<RouteEntry>& routes);
   uint32_t Lookup(uint32_t addr) const override;
   size_t size() const override { return size_; }
   std::string name() const override { return "RadixTrie"; }
 
-  // Removes a route; returns true if it existed. (Extension beyond the
-  // LpmTable interface; DIR-24-8 supports replacement but not deletion.)
+  // Removes a route; returns true if it existed. (Only the trie is
+  // mutable; Dir24_8 is built once from a route list.)
   bool Remove(uint32_t prefix, uint8_t length);
 
  private:

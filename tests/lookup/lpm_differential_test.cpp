@@ -71,7 +71,7 @@ TEST(LpmDifferentialTest, AdversarialPrefixLayouts) {
       {0xffffff00u, 24, 11},  // top of the address space
       {0xffffffffu, 32, 12},
   };
-  // Every insertion order must converge to the same table; try a few.
+  // Every list order must build the same table; try a few.
   Rng rng(7);
   for (int order = 0; order < 6; ++order) {
     std::vector<RouteEntry> shuffled = routes;
@@ -97,17 +97,19 @@ TEST(LpmDifferentialTest, AdversarialPrefixLayouts) {
 }
 
 TEST(LpmDifferentialTest, ReplacementAndShadowedInsertOrderAgree) {
+  // List long before short, replace a next hop, then pile a longer prefix
+  // on top — slot precedence must match the trie's.
+  const std::vector<RouteEntry> routes = {
+      {0x0a010280u, 25, 5},
+      {0x0a000000u, 8, 2},
+      {0x0a010280u, 25, 6},  // replace
+      {0x0a010200u, 24, 4},  // shorter, later
+      {0x0a0102a0u, 27, 7},  // longer, last
+  };
   Dir24_8 dut;
   RadixTrie ref;
-  // Insert long before short, replace a next hop, then pile a longer
-  // prefix on top — slot-precedence bookkeeping must match the trie.
-  for (auto* t : std::initializer_list<LpmTable*>{&dut, &ref}) {
-    t->Insert(0x0a010280u, 25, 5);
-    t->Insert(0x0a000000u, 8, 2);
-    t->Insert(0x0a010280u, 25, 6);  // replace
-    t->Insert(0x0a010200u, 24, 4);  // shorter, later
-    t->Insert(0x0a0102a0u, 27, 7);  // longer, last
-  }
+  dut.InsertAll(routes);
+  ref.InsertAll(routes);
   std::vector<uint32_t> probes;
   for (uint32_t a = 0x0a010200u - 2; a <= 0x0a010300u + 2; ++a) {
     probes.push_back(a);  // exhaustive sweep of the contested /24

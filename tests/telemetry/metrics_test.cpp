@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -197,7 +198,11 @@ TEST(MetricRegistryTest, AggregationAcrossSchedulerThreads) {
       },
       64);
   sched.Start();
-  for (int spin = 0; spin < 2000 && out.tx_counters().packets < kPackets; ++spin) {
+  // Core 0 samples only every 64 sweeps, so wait for a sample as well as
+  // for the frames; the deadline only bounds a hung run.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((out.tx_counters().packets < kPackets || sampler_calls.load() == 0) &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   sched.Stop();
