@@ -59,7 +59,7 @@ void Element::BindTelemetry(telemetry::MetricRegistry* registry, telemetry::Path
   }
   if (registry != nullptr) {
     tele_packets_ = registry->GetCounter(prefix + "elem/" + name_ + "/packets_out");
-    tele_drops_ = registry->GetCounter(prefix + "elem/" + name_ + "/drops");
+    registry->AddCounterReader(prefix + "elem/" + name_ + "/drops", [this] { return drops(); });
     tele_batch_ = registry->GetHistogram(
         prefix + "elem/" + name_ + "/batch_size",
         telemetry::HistogramOptions{0, static_cast<double>(PacketBatch::kCapacity), 64});
@@ -159,9 +159,6 @@ void Element::OutputBatch(int port, PacketBatch& batch) {
 void Element::Drop(Packet* p) {
   drops_.fetch_add(1, std::memory_order_relaxed);
   telemetry::FrRecord(telemetry::FrEvent::kDrop, prof_scope_, 1);
-  if (tele_drops_ != nullptr) {
-    tele_drops_->Inc();
-  }
   if (tele_lat_drop_ != nullptr && p->ingress_cycles() != 0) {
     // Ingress-to-drop latency: without this, drops fall out of the
     // latency plane and the egress percentiles look better under loss.
@@ -182,9 +179,6 @@ void Element::DropBatch(PacketBatch& batch) {
   }
   drops_.fetch_add(n, std::memory_order_relaxed);
   telemetry::FrRecord(telemetry::FrEvent::kDrop, prof_scope_, n);
-  if (tele_drops_ != nullptr) {
-    tele_drops_->Add(n);
-  }
   if (tele_lat_drop_ != nullptr) {
     const uint64_t now_cycles = telemetry::ReadCycles();  // once per batch
     for (Packet* p : batch) {

@@ -137,13 +137,14 @@ class Element {
 
   uint64_t drops() const { return drops_.load(std::memory_order_relaxed); }
 
-  // Attaches this element to a metric registry (per-element packets-out /
-  // drop counters and a batch-size histogram under "<prefix>elem/<name>/")
-  // and optionally a path tracer that records a hop at every push handoff.
-  // Call after the name is final and before traffic flows; when never
-  // called, the hot path pays only null-pointer tests. Overrides must call
-  // the base to get the standard counters, then may register
-  // element-specific metrics.
+  // Attaches this element to a metric registry (a packets-out counter, a
+  // reader of drops(), and a batch-size histogram under
+  // "<prefix>elem/<name>/") and optionally a path tracer that records a
+  // hop at every push handoff. Call after the name is final and before
+  // traffic flows; the element must outlive every snapshot of `registry`.
+  // When never called, the hot path pays only null-pointer tests.
+  // Overrides must call the base to get the standard metrics, then may
+  // register element-specific ones.
   virtual void BindTelemetry(telemetry::MetricRegistry* registry, telemetry::PathTracer* tracer,
                              const std::string& prefix = "");
 
@@ -207,12 +208,11 @@ class Element {
   telemetry::ScopeId prof_scope_ = telemetry::kInvalidScope;
   telemetry::ScopeId drop_scope_ = telemetry::kInvalidScope;
   // Relaxed atomic: bumped on the (rare) drop path by the owning core,
-  // read live by control-socket handlers.
+  // read live by control-socket handlers and the registry's "drops" reader.
   std::atomic<uint64_t> drops_{0};
 
   // Telemetry bindings; null when telemetry is unbound or disabled.
   telemetry::Counter* tele_packets_ = nullptr;
-  telemetry::Counter* tele_drops_ = nullptr;
   telemetry::ShardedHistogram* tele_batch_ = nullptr;
   // Shared "lat/drop" ingress-to-drop latency histogram (every element
   // resolves the same registry entry), so dropped packets still land in

@@ -106,23 +106,11 @@ void FlowPolicer::PushPolice(PacketBatch& batch, uint32_t tick) {
   batch.Clear();
   if (!over.empty()) {
     policed_.fetch_add(over.size(), std::memory_order_relaxed);
-    if (tele_policed_ != nullptr) {
-      tele_policed_->Add(over.size());
-    }
     DropBatch(over);
   }
-  if (!full.empty()) {
-    table_full_.fetch_add(full.size(), std::memory_order_relaxed);
-    if (tele_table_full_ != nullptr) {
-      tele_table_full_->Add(full.size());
-    }
-    DropBatch(full);
-  }
+  DropBatch(full);  // the table counted each refused insert (insert_fail)
   if (!runts.empty()) {
     malformed_.fetch_add(runts.size(), std::memory_order_relaxed);
-    if (tele_malformed_ != nullptr) {
-      tele_malformed_->Add(runts.size());
-    }
     DropBatch(runts);
   }
   OutputBatch(0, ok);
@@ -130,7 +118,6 @@ void FlowPolicer::PushPolice(PacketBatch& batch, uint32_t tick) {
 
 void FlowPolicer::PushInside(PacketBatch& batch, uint32_t tick) {
   PacketBatch ok;
-  PacketBatch full;
   PacketBatch runts;
   const uint32_t n = batch.size();
   for (uint32_t i = 0; i < n; ++i) {
@@ -143,32 +130,18 @@ void FlowPolicer::PushInside(PacketBatch& batch, uint32_t tick) {
       runts.PushBack(p);
       continue;
     }
-    bool inserted = false;
-    FlowEntry* e = table_.FindOrInsert(key, tick, &inserted);
-    if (e == nullptr) {
-      // Table exhausted: inside traffic still forwards (fail-open for
-      // the trusted side), it just cannot pin state for replies.
-      full.PushBack(p);
-      ok.PushBack(p);
-      continue;
+    // Table exhausted (nullptr, counted by the table as insert_fail):
+    // inside traffic still forwards (fail-open for the trusted side), it
+    // just cannot pin state for replies.
+    FlowEntry* e = table_.FindOrInsert(key, tick);
+    if (e != nullptr) {
+      e->flags |= FlowEntry::kEstablished;
     }
-    e->flags |= FlowEntry::kEstablished;
     ok.PushBack(p);
   }
   batch.Clear();
-  if (!full.empty()) {
-    table_full_.fetch_add(full.size(), std::memory_order_relaxed);
-    if (tele_table_full_ != nullptr) {
-      tele_table_full_->Add(full.size());
-    }
-    // Counted, not dropped: the packets already rode along in `ok`.
-    full.Clear();
-  }
   if (!runts.empty()) {
     malformed_.fetch_add(runts.size(), std::memory_order_relaxed);
-    if (tele_malformed_ != nullptr) {
-      tele_malformed_->Add(runts.size());
-    }
     DropBatch(runts);
   }
   OutputBatch(0, ok);
@@ -202,16 +175,10 @@ void FlowPolicer::PushOutside(PacketBatch& batch, uint32_t tick) {
   batch.Clear();
   if (!blocked.empty()) {
     not_established_.fetch_add(blocked.size(), std::memory_order_relaxed);
-    if (tele_not_established_ != nullptr) {
-      tele_not_established_->Add(blocked.size());
-    }
     DropBatch(blocked);
   }
   if (!runts.empty()) {
     malformed_.fetch_add(runts.size(), std::memory_order_relaxed);
-    if (tele_malformed_ != nullptr) {
-      tele_malformed_->Add(runts.size());
-    }
     DropBatch(runts);
   }
   OutputBatch(1, ok);
@@ -224,7 +191,6 @@ void FlowPolicer::Housekeep(uint32_t tick) {
           lo * static_cast<double>(table_.capacity_slots())) {
     table_.SweepIdle(tick, 256);
   }
-  table_.RefreshTelemetry();
 }
 
 void FlowPolicer::BindTelemetry(telemetry::MetricRegistry* registry,
@@ -234,22 +200,21 @@ void FlowPolicer::BindTelemetry(telemetry::MetricRegistry* registry,
     return;
   }
   const std::string base = prefix + "elem/" + name();
-  tele_policed_ = registry->GetCounter(base + "/drops/policed");
-  tele_not_established_ = registry->GetCounter(base + "/drops/not_established");
-  tele_table_full_ = registry->GetCounter(base + "/drops/flow_table_full");
-  tele_malformed_ = registry->GetCounter(base + "/drops/malformed");
+  registry->AddCounterReader(base + "/drops/policed", [this] { return policed_drops(); });
+  registry->AddCounterReader(base + "/drops/not_established",
+                             [this] { return not_established_drops(); });
+  registry->AddCounterReader(base + "/drops/flow_table_full",
+                             [this] { return table_full_drops(); });
+  registry->AddCounterReader(base + "/drops/malformed", [this] { return malformed_drops(); });
   table_.BindTelemetry(registry, prefix, name());
 }
 
 void FlowPolicer::AddHandlers(telemetry::HandlerRegistry* handlers) {
   Element::AddHandlers(handlers);
   table_.AddHandlers(handlers, name());
-  handlers->AddRead(name() + ".policed", [this] {
-    return std::to_string(policed_.load(std::memory_order_relaxed));
-  });
-  handlers->AddRead(name() + ".not_established", [this] {
-    return std::to_string(not_established_.load(std::memory_order_relaxed));
-  });
+  handlers->AddRead(name() + ".policed", [this] { return std::to_string(policed_drops()); });
+  handlers->AddRead(name() + ".not_established",
+                    [this] { return std::to_string(not_established_drops()); });
   handlers->AddRead(name() + ".rate", [this] {
     return std::to_string(rate_pps_.load(std::memory_order_relaxed));
   });

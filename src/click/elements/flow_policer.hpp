@@ -17,7 +17,8 @@
 // hard ceiling, watermark eviction sheds least-recently-seen flows
 // under overload (an evicted flow re-establishes as new), and drops are
 // attributed to dedicated buckets (`policed`, `not_established`,
-// `flow_table_full`, `malformed`).
+// `flow_table_full`, `malformed`); `flow_table_full` is the table's own
+// insert_fail count.
 #ifndef RB_CLICK_ELEMENTS_FLOW_POLICER_HPP_
 #define RB_CLICK_ELEMENTS_FLOW_POLICER_HPP_
 
@@ -49,6 +50,9 @@ class FlowPolicer : public BatchElement {
 
   void PushBatch(int port, PacketBatch& batch) override;
 
+  // Adds readers of the per-cause drop counts ("elem/<name>/drops/
+  // {policed,not_established,flow_table_full,malformed}") and the table's
+  // flow/eviction gauges.
   void BindTelemetry(telemetry::MetricRegistry* registry, telemetry::PathTracer* tracer,
                      const std::string& prefix = "") override;
 
@@ -66,7 +70,7 @@ class FlowPolicer : public BatchElement {
   uint64_t not_established_drops() const {
     return not_established_.load(std::memory_order_relaxed);
   }
-  uint64_t table_full_drops() const { return table_full_.load(std::memory_order_relaxed); }
+  uint64_t table_full_drops() const { return table_.stats().insert_fail; }
   uint64_t malformed_drops() const { return malformed_.load(std::memory_order_relaxed); }
 
  private:
@@ -87,12 +91,7 @@ class FlowPolicer : public BatchElement {
   std::atomic<uint64_t> rate_pps_;
   std::atomic<uint64_t> policed_{0};
   std::atomic<uint64_t> not_established_{0};
-  std::atomic<uint64_t> table_full_{0};
   std::atomic<uint64_t> malformed_{0};
-  telemetry::Counter* tele_policed_ = nullptr;
-  telemetry::Counter* tele_not_established_ = nullptr;
-  telemetry::Counter* tele_table_full_ = nullptr;
-  telemetry::Counter* tele_malformed_ = nullptr;
 };
 
 }  // namespace rb

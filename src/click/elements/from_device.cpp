@@ -29,7 +29,8 @@ void FromDevice::BindTelemetry(telemetry::MetricRegistry* registry, telemetry::P
                                const std::string& prefix) {
   Element::BindTelemetry(registry, tracer, prefix);
   if (telemetry::Enabled() && registry != nullptr) {
-    tele_throttled_ = registry->GetCounter(prefix + "elem/" + name() + "/throttled_polls");
+    registry->AddCounterReader(prefix + "elem/" + name() + "/throttled_polls",
+                               [this] { return throttled_polls(); });
   }
 }
 
@@ -64,9 +65,6 @@ size_t FromDevice::RunOnce() {
       // when a blocked downstream holds the poller at zero for thousands
       // of consecutive polls.
       telemetry::FrRecord(telemetry::FrEvent::kThrottled, profile_scope(), allowance);
-    }
-    if (tele_throttled_ != nullptr) {
-      tele_throttled_->Inc();
     }
   }
   throttled_state_ = throttled;

@@ -36,8 +36,8 @@ class FromDevice : public BatchElement {
   const char* class_name() const override { return "FromDevice"; }
   void Initialize(Router* router) override;
 
-  // Adds a throttled-poll counter ("elem/<name>/throttled_polls": polls
-  // skipped or shrunk because a downstream queue was blocked).
+  // Adds a reader of throttled_polls() ("elem/<name>/throttled_polls":
+  // polls skipped or shrunk because a downstream queue was blocked).
   void BindTelemetry(telemetry::MetricRegistry* registry, telemetry::PathTracer* tracer,
                      const std::string& prefix = "") override;
 
@@ -74,7 +74,6 @@ class FromDevice : public BatchElement {
   // control-socket handlers.
   std::atomic<uint64_t> throttled_polls_{0};
   bool throttled_state_ = false;  // edge detector for flight-recorder events
-  telemetry::Counter* tele_throttled_ = nullptr;
 };
 
 }  // namespace rb

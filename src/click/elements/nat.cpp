@@ -129,18 +129,9 @@ void Nat::PushOutbound(PacketBatch& batch, uint32_t tick) {
     ok.PushBack(p);
   }
   batch.Clear();
-  if (!full.empty()) {
-    table_full_.fetch_add(full.size(), std::memory_order_relaxed);
-    if (tele_table_full_ != nullptr) {
-      tele_table_full_->Add(full.size());
-    }
-    DropBatch(full);
-  }
+  DropBatch(full);  // the table counted each refused insert (insert_fail)
   if (!runts.empty()) {
     malformed_.fetch_add(runts.size(), std::memory_order_relaxed);
-    if (tele_malformed_ != nullptr) {
-      tele_malformed_->Add(runts.size());
-    }
     DropBatch(runts);
   }
   OutputBatch(0, ok);
@@ -187,16 +178,10 @@ void Nat::PushInbound(PacketBatch& batch, uint32_t tick) {
   batch.Clear();
   if (!unmapped.empty()) {
     no_mapping_.fetch_add(unmapped.size(), std::memory_order_relaxed);
-    if (tele_no_mapping_ != nullptr) {
-      tele_no_mapping_->Add(unmapped.size());
-    }
     DropBatch(unmapped);
   }
   if (!runts.empty()) {
     malformed_.fetch_add(runts.size(), std::memory_order_relaxed);
-    if (tele_malformed_ != nullptr) {
-      tele_malformed_->Add(runts.size());
-    }
     DropBatch(runts);
   }
   OutputBatch(1, ok);
@@ -212,7 +197,6 @@ void Nat::Housekeep(uint32_t tick) {
           lo * static_cast<double>(table_.capacity_slots())) {
     table_.SweepIdle(tick, 256);
   }
-  table_.RefreshTelemetry();
 }
 
 void Nat::BindTelemetry(telemetry::MetricRegistry* registry, telemetry::PathTracer* tracer,
@@ -222,21 +206,20 @@ void Nat::BindTelemetry(telemetry::MetricRegistry* registry, telemetry::PathTrac
     return;
   }
   const std::string base = prefix + "elem/" + name();
-  tele_table_full_ = registry->GetCounter(base + "/drops/flow_table_full");
-  tele_no_mapping_ = registry->GetCounter(base + "/drops/no_mapping");
-  tele_malformed_ = registry->GetCounter(base + "/drops/malformed");
+  registry->AddCounterReader(base + "/drops/flow_table_full",
+                             [this] { return table_full_drops(); });
+  registry->AddCounterReader(base + "/drops/no_mapping", [this] { return no_mapping_drops(); });
+  registry->AddCounterReader(base + "/drops/malformed", [this] { return malformed_drops(); });
   table_.BindTelemetry(registry, prefix, name());
 }
 
 void Nat::AddHandlers(telemetry::HandlerRegistry* handlers) {
   Element::AddHandlers(handlers);
   table_.AddHandlers(handlers, name());
-  handlers->AddRead(name() + ".table_full", [this] {
-    return std::to_string(table_full_.load(std::memory_order_relaxed));
-  });
-  handlers->AddRead(name() + ".no_mapping", [this] {
-    return std::to_string(no_mapping_.load(std::memory_order_relaxed));
-  });
+  handlers->AddRead(name() + ".table_full",
+                    [this] { return std::to_string(table_full_drops()); });
+  handlers->AddRead(name() + ".no_mapping",
+                    [this] { return std::to_string(no_mapping_drops()); });
   handlers->AddRead(name() + ".mappings", [this] {
     return std::to_string(mappings_in_use());
   });

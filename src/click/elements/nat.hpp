@@ -15,8 +15,8 @@
 // (their mapping ports return to the free list via the table's evict
 // callback, so ports can never leak) and the element keeps forwarding.
 // Drops land in dedicated buckets: `flow_table_full` (insert refused,
-// eviction disabled), `no_mapping` (reply for a dead/evicted mapping),
-// `malformed` (not IPv4 / truncated).
+// eviction disabled; the table's own insert_fail count), `no_mapping`
+// (reply for a dead/evicted mapping), `malformed` (not IPv4 / truncated).
 //
 // Outputs: 0 = translated inside->outside, 1 = translated
 // outside->inside.
@@ -50,8 +50,9 @@ class Nat : public BatchElement {
 
   void PushBatch(int port, PacketBatch& batch) override;
 
-  // Adds per-cause drop counters ("elem/<name>/drops/{flow_table_full,
-  // no_mapping,malformed}") and the table's flow/eviction gauges.
+  // Adds readers of the per-cause drop counts ("elem/<name>/drops/
+  // {flow_table_full,no_mapping,malformed}") and the table's flow/eviction
+  // gauges.
   void BindTelemetry(telemetry::MetricRegistry* registry, telemetry::PathTracer* tracer,
                      const std::string& prefix = "") override;
 
@@ -68,7 +69,7 @@ class Nat : public BatchElement {
 
   FlowTable& table() { return table_; }
   const NatOptions& options() const { return opt_; }
-  uint64_t table_full_drops() const { return table_full_.load(std::memory_order_relaxed); }
+  uint64_t table_full_drops() const { return table_.stats().insert_fail; }
   uint64_t no_mapping_drops() const { return no_mapping_.load(std::memory_order_relaxed); }
   uint64_t malformed_drops() const { return malformed_.load(std::memory_order_relaxed); }
   size_t mappings_in_use() const { return reverse_.size() - free_list_.size(); }
@@ -91,12 +92,8 @@ class Nat : public BatchElement {
   std::vector<uint32_t> free_list_;     // available mapping indices
   ClockFn clock_;
   uint32_t batches_ = 0;  // housekeeping cadence
-  std::atomic<uint64_t> table_full_{0};
   std::atomic<uint64_t> no_mapping_{0};
   std::atomic<uint64_t> malformed_{0};
-  telemetry::Counter* tele_table_full_ = nullptr;
-  telemetry::Counter* tele_no_mapping_ = nullptr;
-  telemetry::Counter* tele_malformed_ = nullptr;
 };
 
 }  // namespace rb

@@ -57,14 +57,16 @@ void QueueElement::BindTelemetry(telemetry::MetricRegistry* registry,
   }
   if (telemetry::Enabled() && registry != nullptr) {
     const std::string base = prefix + "elem/" + name();
-    tele_occupancy_hw_ = registry->GetGauge(base + "/occupancy_hw");
-    tele_wait_ = registry->GetGauge(base + "/wait_s");
-    tele_overflow_drops_ = registry->GetCounter(base + "/drops/queue_overflow");
+    registry->AddGaugeReader(base + "/occupancy_hw",
+                             [this] { return static_cast<double>(highwater()); });
+    registry->AddGaugeReader(base + "/wait_s", [this] { return last_wait_s(); });
+    registry->AddCounterReader(base + "/drops/queue_overflow",
+                               [this] { return overflow_drops(); });
     if (opt_.aqm == AqmMode::kCoDel) {
-      tele_aqm_drops_ = registry->GetCounter(base + "/drops/aqm");
+      registry->AddCounterReader(base + "/drops/aqm", [this] { return aqm_drops(); });
     }
     if (opt_.hi_watermark > 0) {
-      tele_blocked_events_ = registry->GetCounter(base + "/blocked_events");
+      registry->AddCounterReader(base + "/blocked_events", [this] { return blocked_events(); });
     }
   }
 }
@@ -157,9 +159,6 @@ void QueueElement::NoteDepth() {
   size_t depth = ring_.size();
   if (depth > highwater_.load(std::memory_order_relaxed)) {
     highwater_.store(depth, std::memory_order_relaxed);
-    if (tele_occupancy_hw_ != nullptr) {
-      tele_occupancy_hw_->UpdateMax(static_cast<double>(depth));
-    }
   }
 }
 
@@ -185,9 +184,6 @@ void QueueElement::MaybeBlock() {
     blocked_.store(true, std::memory_order_release);
     blocked_events_.fetch_add(1, std::memory_order_relaxed);
     telemetry::FrRecord(telemetry::FrEvent::kBlocked, profile_scope(), depth);
-    if (tele_blocked_events_ != nullptr) {
-      tele_blocked_events_->Inc();
-    }
   }
 }
 
@@ -203,28 +199,15 @@ void QueueElement::MaybeUnblock() {
   }
 }
 
-void QueueElement::DropOne(Packet* p, bool aqm) {
-  if (aqm) {
-    aqm_drops_.fetch_add(1, std::memory_order_relaxed);
-    telemetry::FrRecord(telemetry::FrEvent::kAqmDrop, profile_scope(), codel_count_);
-    if (tele_aqm_drops_ != nullptr) {
-      tele_aqm_drops_->Inc();
-    }
-  } else {
-    overflow_drops_.fetch_add(1, std::memory_order_relaxed);
-    if (tele_overflow_drops_ != nullptr) {
-      tele_overflow_drops_->Inc();
-    }
-  }
+void QueueElement::DropAqm(Packet* p) {
+  aqm_drops_.fetch_add(1, std::memory_order_relaxed);
+  telemetry::FrRecord(telemetry::FrEvent::kAqmDrop, profile_scope(), codel_count_);
   Drop(p);
 }
 
 void QueueElement::NoteDequeue(Packet* p, double now) {
   const double wait = now - p->enqueue_time();
   last_wait_s_.store(wait, std::memory_order_relaxed);
-  if (tele_wait_ != nullptr) {
-    tele_wait_->Set(wait);
-  }
   if (tracer() != nullptr && p->trace_handle() != 0) {
     // The dequeue hop carries the queueing wait; the span from here to
     // the next hop is pure service time.
@@ -262,9 +245,6 @@ void QueueElement::PushBatch(int /*port*/, PacketBatch& batch) {
     PacketBatch overflow;
     batch.SplitAfter(accepted, &overflow);
     overflow_drops_.fetch_add(overflow.size(), std::memory_order_relaxed);
-    if (tele_overflow_drops_ != nullptr) {
-      tele_overflow_drops_->Add(overflow.size());
-    }
     DropBatch(overflow);
   }
   batch.Clear();  // enqueued prefix now belongs to the ring
@@ -319,7 +299,7 @@ Packet* QueueElement::Pull(int /*port*/) {
     if (note) {
       const double now = clock_();
       if (codel && CodelShouldDrop(now - p->enqueue_time(), now)) {
-        DropOne(p, /*aqm=*/true);
+        DropAqm(p);
         p = nullptr;
         continue;
       }
@@ -356,7 +336,7 @@ size_t QueueElement::PullBatch(int /*port*/, PacketBatch* out, int max) {
   while (moved < static_cast<size_t>(max) && !out->full() && ring_.TryPop(&p)) {
     const double now = clock_();
     if (CodelShouldDrop(now - p->enqueue_time(), now)) {
-      DropOne(p, /*aqm=*/true);
+      DropAqm(p);
       continue;
     }
     NoteDequeue(p, now);

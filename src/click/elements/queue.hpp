@@ -64,11 +64,13 @@ class QueueElement : public BatchElement {
   Packet* Pull(int port) override;
   size_t PullBatch(int port, PacketBatch* out, int max) override;
 
-  // Adds an occupancy high-water gauge ("elem/<name>/occupancy_hw"),
-  // per-cause drop counters ("elem/<name>/drops/{queue_overflow,aqm}"),
-  // and the "elem/<name>/wait_s" last-sojourn gauge on top of the
-  // standard element counters. Binding a tracer turns on enqueue
-  // stamping (see header comment).
+  // Adds readers of the queue's own counts on top of the standard element
+  // metrics: the "elem/<name>/occupancy_hw" and "elem/<name>/wait_s"
+  // gauges (highwater(), last_wait_s()), the per-cause drop counters
+  // "elem/<name>/drops/queue_overflow" and, under CoDel,
+  // "elem/<name>/drops/aqm", and "elem/<name>/blocked_events" when a high
+  // watermark is configured. Binding a tracer turns on enqueue stamping
+  // (see header comment).
   void BindTelemetry(telemetry::MetricRegistry* registry, telemetry::PathTracer* tracer,
                      const std::string& prefix = "") override;
 
@@ -115,7 +117,7 @@ class QueueElement : public BatchElement {
   void MaybeUnblock();  // pull side: clear Blocked at lo
   // CoDel control law applied to one dequeued packet; true = drop it.
   bool CodelShouldDrop(double sojourn, double now);
-  void DropOne(Packet* p, bool aqm);
+  void DropAqm(Packet* p);
   // Publishes one dequeued packet's sojourn (wait gauge + sparkline feed)
   // and, when sampled, its "<name>/deq" trace hop. Pull-side only.
   void NoteDequeue(Packet* p, double now);
@@ -155,17 +157,12 @@ class QueueElement : public BatchElement {
   uint32_t codel_count_ = 0;      // drops this dropping episode
 
   // Relaxed atomics: single-writer on their own side of the queue, read
-  // live by control-socket handlers.
+  // live by control-socket handlers and the registry's readers.
   std::atomic<uint64_t> highwater_{0};
   std::atomic<uint64_t> overflow_drops_{0};
   std::atomic<uint64_t> aqm_drops_{0};
   std::atomic<uint64_t> blocked_events_{0};
   std::atomic<double> last_wait_s_{0};
-  telemetry::Gauge* tele_occupancy_hw_ = nullptr;
-  telemetry::Gauge* tele_wait_ = nullptr;
-  telemetry::Counter* tele_overflow_drops_ = nullptr;
-  telemetry::Counter* tele_aqm_drops_ = nullptr;
-  telemetry::Counter* tele_blocked_events_ = nullptr;
 };
 
 }  // namespace rb

@@ -97,13 +97,7 @@ void Router::BindTask_(Task* task) {
   if (tele_registry_ == nullptr || task->element() == nullptr) {
     return;
   }
-  const std::string base = tele_prefix_ + "task/" + task->element()->name();
-  task->BindTelemetry(tele_registry_->GetCounter(base + "/runs"),
-                      tele_registry_->GetCounter(base + "/work"),
-                      tele_registry_->GetHistogram(
-                          base + "/burst",
-                          telemetry::HistogramOptions{0.0, static_cast<double>(PacketBatch::kCapacity),
-                                                      64}));
+  task->BindTelemetry(tele_registry_, tele_prefix_ + "task/" + task->element()->name());
 }
 
 void Router::RegisterTask(std::unique_ptr<Task> task) {

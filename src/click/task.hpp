@@ -29,29 +29,22 @@ class Task {
   int home_core() const { return home_core_; }
   void set_home_core(int core) { home_core_ = core; }
 
-  uint64_t runs() const { return runs_; }
-  uint64_t idle_runs() const { return idle_runs_; }
-  uint64_t work() const { return work_; }
-
-  // Scheduling-progress heartbeat for the watchdog: bumped on every
-  // RunOnce, idle or not — a scheduled-but-idle task is making progress,
-  // while a starved task (never scheduled) or one stuck inside Run()
-  // is not. The plain runs_ counter stays single-writer; this atomic is
-  // what the watchdog thread samples (relaxed: a stale read only delays
-  // detection by one check interval).
+  // Scheduling-progress heartbeat for the watchdog, and the task's run
+  // count: bumped on every RunOnce, idle or not — a scheduled-but-idle
+  // task is making progress, while a starved task (never scheduled) or
+  // one stuck inside Run() is not. Relaxed: a stale read only delays
+  // detection by one check interval.
   uint64_t progress() const { return progress_.load(std::memory_order_relaxed); }
+  // Packets moved over all runs.
+  uint64_t work() const { return work_.load(std::memory_order_relaxed); }
 
-  // Mirrors the run/work bookkeeping into shared registry counters (the
-  // cycles-proxy: polling iterations and packets moved per task). The
-  // plain members stay single-writer; the registry counters are what
-  // concurrent samplers may read. `burst` (optional) observes the batch
-  // size of every non-idle run — the distribution of poll/drain bursts.
-  void BindTelemetry(telemetry::Counter* runs, telemetry::Counter* work,
-                     telemetry::ShardedHistogram* burst = nullptr) {
-    tele_runs_ = runs;
-    tele_work_ = work;
-    tele_burst_ = burst;
-  }
+  // Registers readers of the run/work bookkeeping as "<base>/runs"
+  // (progress()) and "<base>/work" (work()) — the cycles-proxy: polling
+  // iterations and packets moved per task — and a "<base>/burst"
+  // histogram observing the batch size of every non-idle run, the
+  // distribution of poll/drain bursts. The task must outlive every
+  // snapshot of `registry`.
+  void BindTelemetry(telemetry::MetricRegistry* registry, const std::string& base);
 
   // Bookkeeping wrapper used by schedulers.
   size_t RunOnce() {
@@ -63,19 +56,12 @@ class Task {
       n = Run();
       RB_PROF_WORK(n, 0);
     }
-    runs_++;
     progress_.fetch_add(1, std::memory_order_relaxed);
-    if (n == 0) {
-      idle_runs_++;
-    }
-    work_ += n;
-    if (tele_runs_ != nullptr) {
-      tele_runs_->Inc();
-      if (n > 0) {
-        tele_work_->Add(n);
-        if (tele_burst_ != nullptr) {
-          tele_burst_->Observe(static_cast<double>(n));
-        }
+    if (n > 0) {
+      // One writer (the task's core): a plain add, published relaxed.
+      work_.store(work() + n, std::memory_order_relaxed);
+      if (tele_burst_ != nullptr) {
+        tele_burst_->Observe(static_cast<double>(n));
       }
     }
     return n;
@@ -85,12 +71,8 @@ class Task {
   Element* element_;
   int home_core_;
   telemetry::ScopeId prof_scope_ = telemetry::kInvalidScope;
-  uint64_t runs_ = 0;
-  uint64_t idle_runs_ = 0;
-  uint64_t work_ = 0;
   std::atomic<uint64_t> progress_{0};
-  telemetry::Counter* tele_runs_ = nullptr;
-  telemetry::Counter* tele_work_ = nullptr;
+  std::atomic<uint64_t> work_{0};
   telemetry::ShardedHistogram* tele_burst_ = nullptr;
 };
 

@@ -80,8 +80,8 @@ void VlbAdmission::BindTelemetry(telemetry::MetricRegistry* registry,
                                  telemetry::PathTracer* tracer, const std::string& prefix) {
   Element::BindTelemetry(registry, tracer, prefix);
   if (telemetry::Enabled() && registry != nullptr) {
-    tele_admission_drops_ =
-        registry->GetCounter(prefix + "elem/" + name() + "/drops/admission");
+    registry->AddCounterReader(prefix + "elem/" + name() + "/drops/admission",
+                               [this] { return admission_drops(); });
   }
 }
 
@@ -117,10 +117,7 @@ void VlbAdmission::PushBatch(int /*port*/, PacketBatch& batch) {
   }
   batch.Clear();
   if (!deny.empty()) {
-    admission_drops_ += deny.size();
-    if (tele_admission_drops_ != nullptr) {
-      tele_admission_drops_->Add(deny.size());
-    }
+    admission_drops_.store(admission_drops() + deny.size(), std::memory_order_relaxed);
     DropBatch(deny);
   }
   OutputBatch(0, pass);

@@ -18,6 +18,7 @@
 #ifndef RB_CORE_CLUSTER_ROUTER_HPP_
 #define RB_CORE_CLUSTER_ROUTER_HPP_
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -61,9 +62,9 @@ class QueueElement;
 // LPM table VlbRoute uses, and asks the node's AdmissionDrr for a
 // verdict. The believed-capacity signal combines HealthView (via the
 // DRR's live-port shares) with queue-depth telemetry from the transmit
-// legs it watches (WatchQueue). Rejects are counted under
-// "elem/<name>/drops/admission" and dropped here, so the mesh never
-// carries them.
+// legs it watches (WatchQueue). Rejects are counted in admission_drops()
+// (read as "elem/<name>/drops/admission") and dropped here, so the mesh
+// never carries them.
 class VlbAdmission : public BatchElement {
  public:
   VlbAdmission(const LpmTable* table, AdmissionDrr* drr, uint16_t num_nodes);
@@ -77,7 +78,7 @@ class VlbAdmission : public BatchElement {
   void BindTelemetry(telemetry::MetricRegistry* registry, telemetry::PathTracer* tracer,
                      const std::string& prefix = "") override;
 
-  uint64_t admission_drops() const { return admission_drops_; }
+  uint64_t admission_drops() const { return admission_drops_.load(std::memory_order_relaxed); }
   const AdmissionDrr& drr() const { return *drr_; }
 
  private:
@@ -87,8 +88,9 @@ class VlbAdmission : public BatchElement {
   AdmissionDrr* drr_;
   uint16_t num_nodes_;
   std::vector<const QueueElement*> watched_;
-  uint64_t admission_drops_ = 0;
-  telemetry::Counter* tele_admission_drops_ = nullptr;
+  // Single writer (the node's ingress core); relaxed so snapshots may
+  // read it from another thread.
+  std::atomic<uint64_t> admission_drops_{0};
 };
 
 // Transit/output-node element for one MAC-steered rx queue: stamps the
@@ -157,6 +159,9 @@ class FunctionalCluster {
   }
   // The node's Click graph (for inspection, e.g. walking elements).
   Router& node_graph(uint16_t node) { return *nodes_[node].graph; }
+  // NIC port `p` of `node` (num_nodes ports each): port 0 is external,
+  // ports 1..num_nodes-1 face the peers.
+  const NicPort& port(uint16_t node, size_t p) const { return *nodes_[node].ports[p]; }
   uint64_t wire_packets() const { return wire_packets_; }
 
   // Believed node/link liveness, shared by every node's VLB router. The

@@ -409,27 +409,16 @@ void FlowTable::BindTelemetry(telemetry::MetricRegistry* registry,
   if (registry == nullptr) {
     return;
   }
-  // The table keeps its own relaxed-atomic counters (they predate any
-  // binding and feed the handler plane); the registry gets a snapshot
-  // closure via gauges so every export path sees live values without
-  // the hot path paying a second set of counter bumps.
+  // The table's relaxed-atomic counters feed the handler plane and these
+  // readers alike; the hot path pays for no second copy.
   const std::string base = prefix + "flow/" + name;
-  tele_.flows = registry->GetGauge(base + "/flows");
-  tele_.evictions = registry->GetGauge(base + "/evictions");
-  tele_.replays = registry->GetGauge(base + "/replays");
-  tele_.insert_fail = registry->GetGauge(base + "/insert_fail");
-  RefreshTelemetry();
-}
-
-void FlowTable::RefreshTelemetry() {
-  if (tele_.flows == nullptr) {
-    return;
-  }
-  const FlowTableStats s = stats();
-  tele_.flows->Set(static_cast<double>(occupancy()));
-  tele_.evictions->Set(static_cast<double>(s.evictions()));
-  tele_.replays->Set(static_cast<double>(s.replays));
-  tele_.insert_fail->Set(static_cast<double>(s.insert_fail));
+  registry->AddGaugeReader(base + "/flows", [this] { return static_cast<double>(occupancy()); });
+  registry->AddGaugeReader(base + "/evictions",
+                           [this] { return static_cast<double>(stats().evictions()); });
+  registry->AddGaugeReader(base + "/replays",
+                           [this] { return static_cast<double>(stats().replays); });
+  registry->AddGaugeReader(base + "/insert_fail",
+                           [this] { return static_cast<double>(stats().insert_fail); });
 }
 
 }  // namespace rb

@@ -53,7 +53,6 @@
 namespace rb {
 
 namespace telemetry {
-class Gauge;
 class HandlerRegistry;
 class MetricRegistry;
 }  // namespace telemetry
@@ -192,13 +191,12 @@ class FlowTable {
   // atomics and are control-thread safe.
   void AddHandlers(telemetry::HandlerRegistry* handlers, const std::string& owner);
 
-  // Exports flow/eviction/replay gauges under "<prefix>flow/<name>/...".
-  // Gauges mirror the table's internal counters; owners call
-  // RefreshTelemetry() at their export points (batch boundaries,
-  // Finish) so the registry reflects live values without per-op cost.
+  // Registers gauge readers under "<prefix>flow/<name>/": `flows`
+  // (occupancy()), `evictions`, `replays` and `insert_fail` (stats()).
+  // Each snapshot reads the table's own counters, live and at no per-op
+  // cost; the table must outlive every snapshot of `registry`.
   void BindTelemetry(telemetry::MetricRegistry* registry, const std::string& prefix,
                      const std::string& name);
-  void RefreshTelemetry();
 
  private:
   struct alignas(64) Bucket {
@@ -245,13 +243,6 @@ class FlowTable {
   // Probe-length histogram: probe_hist_[b-1] counts probes that ended
   // in the b'th bucket of the window.
   std::vector<std::atomic<uint64_t>> probe_hist_;
-  struct Tele {
-    telemetry::Gauge* flows = nullptr;
-    telemetry::Gauge* evictions = nullptr;
-    telemetry::Gauge* replays = nullptr;
-    telemetry::Gauge* insert_fail = nullptr;
-  };
-  Tele tele_;
 };
 
 }  // namespace rb

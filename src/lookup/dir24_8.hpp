@@ -45,7 +45,6 @@ class Dir24_8 : public LpmTable {
   // overlapping up to kPrefetchAhead misses instead of serializing them.
   void LookupBatch(const uint32_t* addrs, uint32_t* hops, size_t n) const override;
   size_t size() const override { return size_; }
-  std::string name() const override { return "Dir24-8"; }
 
   // Introspection for tests and the memory-footprint report.
   size_t num_long_segments() const { return tbl_long_.size() / kSegmentSize; }

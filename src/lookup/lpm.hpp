@@ -5,8 +5,8 @@
 #ifndef RB_LOOKUP_LPM_HPP_
 #define RB_LOOKUP_LPM_HPP_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace rb {
 
@@ -39,7 +39,6 @@ class LpmTable {
   }
 
   virtual size_t size() const = 0;
-  virtual std::string name() const = 0;
 
   static constexpr uint32_t kNoRoute = 0;
 };

@@ -25,7 +25,6 @@ class RadixTrie : public LpmTable {
   void InsertAll(const std::vector<RouteEntry>& routes);
   uint32_t Lookup(uint32_t addr) const override;
   size_t size() const override { return size_; }
-  std::string name() const override { return "RadixTrie"; }
 
   // Removes a route; returns true if it existed. (Only the trie is
   // mutable; Dir24_8 is built once from a route list.)

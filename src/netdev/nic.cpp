@@ -61,10 +61,13 @@ void NicPort::BindTelemetry(telemetry::MetricRegistry* registry, const std::stri
     return;
   }
   for (auto [dir, name] : {std::pair{&rx_, "rx"}, std::pair{&tx_, "tx"}}) {
-    dir->tele_packets = registry->GetCounter(prefix + name + "_packets");
-    dir->tele_bytes = registry->GetCounter(prefix + name + "_bytes");
-    dir->tele_drops = registry->GetCounter(prefix + name + "_drops");
-    dir->tele_ring_hw.clear();
+    const PortCounters& c = dir->counters;
+    registry->AddCounterReader(prefix + name + "_packets",
+                               [&c] { return c.packets.load(std::memory_order_relaxed); });
+    registry->AddCounterReader(prefix + name + "_bytes",
+                               [&c] { return c.bytes.load(std::memory_order_relaxed); });
+    registry->AddCounterReader(prefix + name + "_drops",
+                               [&c] { return c.drops.load(std::memory_order_relaxed); });
     for (size_t q = 0; q < dir->rings.size(); ++q) {
       dir->tele_ring_hw.push_back(
           registry->GetGauge(Format("%s%sq%zu/occupancy_hw", prefix.c_str(), name, q)));
@@ -175,15 +178,8 @@ NicPort::RingBurst NicPort::PushBurst(Direction& dir, uint16_t q, Packet* const*
   const uint32_t drops = n - pushed.packets;
   pushed.bytes = size.wire_bytes - ReleaseDropped(pkts, pushed.packets, n);
   dir.counters.Add(pushed.packets, pushed.bytes, drops);
-  if (dir.tele_packets != nullptr) {
-    dir.tele_packets->Add(pushed.packets);
-    dir.tele_bytes->Add(pushed.bytes);
-    if (drops > 0) {
-      dir.tele_drops->Add(drops);
-    }
-    if (pushed.packets > 0) {
-      dir.tele_ring_hw[q]->UpdateMax(static_cast<double>(dir.rings[q]->size()));
-    }
+  if (pushed.packets > 0 && !dir.tele_ring_hw.empty()) {
+    dir.tele_ring_hw[q]->UpdateMax(static_cast<double>(dir.rings[q]->size()));
   }
   return pushed;
 }

@@ -15,8 +15,9 @@
 //
 // The NIC does its own bookkeeping once per burst, as §4.2's batching
 // amortizes the driver's: a committed kn group and a Transmit burst each
-// reach their ring in one publish (SpscRing::TryPushBurst), and the PCIe,
-// port and registry counters take one update per burst.
+// reach their ring in one publish (SpscRing::TryPushBurst), and the PCIe
+// and port counters and the ring high-water gauges take one update per
+// burst.
 #ifndef RB_NETDEV_NIC_HPP_
 #define RB_NETDEV_NIC_HPP_
 
@@ -127,11 +128,12 @@ class NicPort {
 
   // --- telemetry ---
 
-  // Mirrors rx/tx packet/byte/drop counts into registry counters under
-  // "<prefix>nic/..." and tracks per-ring occupancy high-water gauges
-  // ("<prefix>nic/rxq<q>/occupancy_hw", ".../txq<q>/occupancy_hw"), once
-  // per ring burst like the port counters. No-op when telemetry is
-  // disabled; unbound ports pay only null checks.
+  // Registers readers of the rx/tx port counters ("<prefix>rx_packets",
+  // "<prefix>rx_bytes", "<prefix>rx_drops", and tx_*) and tracks per-ring
+  // occupancy high-water gauges ("<prefix>rxq<q>/occupancy_hw",
+  // "<prefix>txq<q>/occupancy_hw"), raised once per ring burst. The port
+  // must outlive every snapshot of `registry`. No-op when telemetry is
+  // disabled; unbound ports pay only an empty-vector test.
   void BindTelemetry(telemetry::MetricRegistry* registry, const std::string& prefix);
 
   // --- introspection ---
@@ -151,14 +153,11 @@ class NicPort {
     SimTime oldest = 0;
   };
 
-  // One direction of the port: its rings, its counters, and their
-  // registry mirrors (null until BindTelemetry).
+  // One direction of the port: its rings, its counters, and the rings'
+  // high-water gauges (empty until BindTelemetry).
   struct Direction {
     std::vector<std::unique_ptr<SpscRing<Packet*>>> rings;
     PortCounters counters;
-    telemetry::Counter* tele_packets = nullptr;
-    telemetry::Counter* tele_bytes = nullptr;
-    telemetry::Counter* tele_drops = nullptr;
     std::vector<telemetry::Gauge*> tele_ring_hw;  // per ring
   };
 
@@ -169,7 +168,7 @@ class NicPort {
   // Publishes `pkts[0, n)` to ring `q` of `dir` in one push and releases
   // the frames past its free room. Charges the bus every frame's data DMA
   // plus `extra_txns`/`extra_bytes` (rx descriptors), and counts the
-  // burst once into `dir`'s counters and mirrors.
+  // burst once into `dir`'s counters and ring high-water gauge.
   RingBurst PushBurst(Direction& dir, uint16_t q, Packet* const* pkts, uint32_t n,
                       uint64_t extra_txns, uint64_t extra_bytes);
 

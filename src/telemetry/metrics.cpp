@@ -159,6 +159,7 @@ double RegistrySnapshot::GaugeValue(const std::string& name) const {
 
 Counter* MetricRegistry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
+  RB_CHECK_MSG(!counter_readers_.contains(name), ("counter is read, not pushed: " + name).c_str());
   auto& slot = counters_[name];
   if (!slot) {
     slot = std::make_unique<Counter>();
@@ -168,6 +169,7 @@ Counter* MetricRegistry::GetCounter(const std::string& name) {
 
 Gauge* MetricRegistry::GetGauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
+  RB_CHECK_MSG(!gauge_readers_.contains(name), ("gauge is read, not pushed: " + name).c_str());
   auto& slot = gauges_[name];
   if (!slot) {
     slot = std::make_unique<Gauge>();
@@ -194,16 +196,39 @@ LatencyHistogram* MetricRegistry::GetLatencyHistogram(const std::string& name) {
   return slot.get();
 }
 
+void MetricRegistry::AddCounterReader(const std::string& name, std::function<uint64_t()> read) {
+  std::lock_guard<std::mutex> lock(mu_);
+  RB_CHECK_MSG(!counters_.contains(name), ("counter is pushed, not read: " + name).c_str());
+  RB_CHECK_MSG(counter_readers_.emplace(name, std::move(read)).second,
+               ("second reader for counter: " + name).c_str());
+}
+
+void MetricRegistry::AddGaugeReader(const std::string& name, std::function<double()> read) {
+  std::lock_guard<std::mutex> lock(mu_);
+  RB_CHECK_MSG(!gauges_.contains(name), ("gauge is pushed, not read: " + name).c_str());
+  RB_CHECK_MSG(gauge_readers_.emplace(name, std::move(read)).second,
+               ("second reader for gauge: " + name).c_str());
+}
+
 RegistrySnapshot MetricRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   RegistrySnapshot snap;
-  snap.counters.reserve(counters_.size());
+  snap.counters.reserve(counters_.size() + counter_readers_.size());
   for (const auto& [name, c] : counters_) {
     snap.counters.emplace_back(name, c->Value());
   }
-  snap.gauges.reserve(gauges_.size());
+  const auto pushed = static_cast<std::ptrdiff_t>(snap.counters.size());
+  for (const auto& [name, read] : counter_readers_) {
+    snap.counters.emplace_back(name, read());
+  }
+  // Both runs are sorted by name (std::map order) and share no name.
+  std::inplace_merge(snap.counters.begin(), snap.counters.begin() + pushed, snap.counters.end());
+  snap.gauges.reserve(gauges_.size() + gauge_readers_.size());
   for (const auto& [name, g] : gauges_) {
     snap.gauges.emplace_back(name, g->Value());
+  }
+  for (const auto& [name, read] : gauge_readers_) {
+    snap.gauges.emplace_back(name, read());
   }
   snap.histograms.reserve(histograms_.size());
   for (const auto& [name, h] : histograms_) {

@@ -6,7 +6,7 @@
 // We exploit that the same way the data path does: a Counter is an array
 // of cache-line-aligned per-core slots, each written only by its core with
 // relaxed atomics (no RMW contention, no locks, no cache-line ping-pong),
-// and summed across slots on read. Readers (the snapshot/export layer, a
+// and summed across slots on read. Snapshots (the export layer, a
 // periodic sampler) may run concurrently with writers; all cross-thread
 // traffic goes through atomics, so the registry is clean under TSan with
 // real ThreadScheduler threads.
@@ -14,11 +14,17 @@
 // Metric creation (GetCounter etc.) takes a mutex and is meant for setup
 // time; hot paths cache the returned pointer, which stays valid for the
 // registry's lifetime.
+//
+// A count that some component already keeps in its own field is not
+// pushed a second time: the owner registers a *reader* (AddCounterReader
+// / AddGaugeReader) that Snapshot() evaluates, so the owner's field stays
+// the one source of truth for handlers and exports alike.
 #ifndef RB_TELEMETRY_METRICS_HPP_
 #define RB_TELEMETRY_METRICS_HPP_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -179,6 +185,15 @@ class MetricRegistry {
   // Log-bucketed latency histogram (fixed geometry — no options to apply).
   LatencyHistogram* GetLatencyHistogram(const std::string& name);
 
+  // Registers a counter/gauge whose value `read` returns at Snapshot()
+  // time, under the registry mutex; it is listed with the pushed metrics
+  // of its kind, by name. One reader per name, and a name is never both
+  // pushed and read (RB_CHECK either way). Whatever `read` touches must
+  // outlive every Snapshot() of this registry and be safe to read from
+  // the snapshotting thread (relaxed atomics on the hot path's side).
+  void AddCounterReader(const std::string& name, std::function<uint64_t()> read);
+  void AddGaugeReader(const std::string& name, std::function<double()> read);
+
   // Snapshot also synthesizes, for every latency histogram with samples,
   // p50/p90/p99/p999 + mean gauges named "<hist>/p50_us" etc. (values in
   // microseconds), so the gauges flow through every existing export path
@@ -196,6 +211,8 @@ class MetricRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<ShardedHistogram>> histograms_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>> latency_;
+  std::map<std::string, std::function<uint64_t()>> counter_readers_;
+  std::map<std::string, std::function<double()>> gauge_readers_;
 };
 
 }  // namespace telemetry

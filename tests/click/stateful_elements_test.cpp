@@ -10,6 +10,8 @@
 #include "packet/checksum.hpp"
 #include "packet/headers.hpp"
 #include "packet/pool.hpp"
+#include "telemetry/handler.hpp"
+#include "telemetry/metrics.hpp"
 #include "workload/synthetic.hpp"
 
 namespace rb {
@@ -278,6 +280,77 @@ TEST_F(StatefulElementsTest, NatFullTableWithEvictionDisabledDropsIntoBucket) {
   EXPECT_EQ(out->got.size() + nat->table_full_drops(), 512u);
   for (Packet* p : out->got) {
     pool_.Free(p);
+  }
+}
+
+// flow_table_full is the table's own count: FindOrInsert returns nullptr
+// only for a refused insert, so neither element keeps a second counter. A
+// strict table (no eviction on full, no watermark) filled 8x past its
+// capacity reads the same figure from the element accessor, the table's
+// insert_fail, the registry's drops/flow_table_full reader and (Nat) the
+// `.table_full` handler, and every refused packet is an element drop.
+TEST_F(StatefulElementsTest, TableFullDropsAreTheTablesInsertFailures) {
+  telemetry::MetricRegistry registry;
+  Router r;
+  NatOptions nat_opt;
+  nat_opt.capacity = 64;
+  nat_opt.hi_watermark = 1.0;
+  nat_opt.lo_watermark = 0.5;
+  nat_opt.evict_on_full = false;
+  auto* nat = r.Add<Nat>(nat_opt);
+  FlowPolicerOptions pol_opt;
+  pol_opt.capacity = 64;
+  pol_opt.hi_watermark = 1.0;
+  pol_opt.lo_watermark = 0.5;
+  pol_opt.evict_on_full = false;
+  auto* pol = r.Add<FlowPolicer>(pol_opt);
+  auto* nat_out = r.Add<BatchSink>();
+  auto* nat_in = r.Add<BatchSink>();
+  auto* pol_out = r.Add<BatchSink>();
+  r.Connect(nat, 0, nat_out, 0);
+  r.Connect(nat, 1, nat_in, 0);
+  r.Connect(pol, 0, pol_out, 0);
+  r.BindTelemetry(&registry, nullptr);
+  r.Initialize();
+  nat->set_clock(&FakeClock);
+  pol->set_clock(&FakeClock);
+  telemetry::HandlerRegistry handlers;
+  r.AddHandlers(&handlers);
+
+  constexpr uint32_t kFlows = 512;
+  for (uint32_t i = 0; i < kFlows; ++i) {
+    FlowKey key{0x0a000000u + i, 0x08080808, static_cast<uint16_t>(1024 + i), 80,
+                Ipv4View::kProtoUdp};
+    PacketBatch to_nat;
+    to_nat.PushBack(Frame(&pool_, key));
+    nat->PushBatch(0, to_nat);
+    PacketBatch to_pol;
+    to_pol.PushBack(Frame(&pool_, key));
+    pol->PushBatch(0, to_pol);
+  }
+  const telemetry::RegistrySnapshot snap = registry.Snapshot();
+
+  const uint64_t nat_fail = nat->table().stats().insert_fail;
+  EXPECT_GT(nat_fail, 0u);
+  EXPECT_EQ(nat->table_full_drops(), nat_fail);
+  EXPECT_EQ(snap.CounterValue("elem/" + nat->name() + "/drops/flow_table_full"), nat_fail);
+  const telemetry::HandlerResult handler = handlers.Read(nat->name() + ".table_full");
+  ASSERT_TRUE(handler.ok);
+  EXPECT_EQ(handler.text, std::to_string(nat_fail));
+  EXPECT_EQ(nat->drops(), nat_fail);
+  EXPECT_EQ(nat_out->got.size() + nat_fail, kFlows);
+
+  const uint64_t pol_fail = pol->table().stats().insert_fail;
+  EXPECT_GT(pol_fail, 0u);
+  EXPECT_EQ(pol->table_full_drops(), pol_fail);
+  EXPECT_EQ(snap.CounterValue("elem/" + pol->name() + "/drops/flow_table_full"), pol_fail);
+  EXPECT_EQ(pol->drops(), pol_fail);
+  EXPECT_EQ(pol_out->got.size() + pol_fail, kFlows);
+
+  for (BatchSink* sink : {nat_out, pol_out}) {
+    for (Packet* p : sink->got) {
+      pool_.Free(p);
+    }
   }
 }
 

@@ -6,7 +6,9 @@
 #include <string>
 
 #include "cluster/reorder.hpp"
+#include "common/strings.hpp"
 #include "packet/headers.hpp"
+#include "telemetry/metrics.hpp"
 #include "workload/synthetic.hpp"
 
 namespace rb {
@@ -189,6 +191,63 @@ TEST(FunctionalClusterTest, TrafficAvoidsBelievedDeadNodeEndToEnd) {
   EXPECT_EQ(n, static_cast<size_t>(kPackets));
   for (size_t i = 0; i < n; ++i) {
     cluster.pool().Free(out[i]);
+  }
+}
+
+// FunctionalClusterConfig::registry binds every node under "node<i>/".
+// With admission on and node 2 believed dead, each node's NIC port
+// readers and its VlbAdmission's drops/admission reader equal that node's
+// own counters.
+TEST(FunctionalClusterTest, RegistryReadsEachNodesOwnCounters) {
+  telemetry::MetricRegistry registry;
+  FunctionalClusterConfig cfg = SmallCluster();
+  cfg.admission.enabled = true;
+  cfg.registry = &registry;
+  FunctionalCluster cluster(cfg);
+  cluster.health().SetNodeAlive(2, false);
+  for (int i = 0; i < 64; ++i) {
+    cluster.InjectExternal(static_cast<uint16_t>(i % 4),
+                           FrameTo(&cluster, static_cast<uint16_t>((i / 4) % 4),
+                                   static_cast<uint64_t>(i), 0),
+                           i * 1e-6);
+  }
+  cluster.RunUntilIdle();
+
+  const telemetry::RegistrySnapshot snap = registry.Snapshot();
+  std::map<std::string, uint64_t> counters(snap.counters.begin(), snap.counters.end());
+  auto expect_read = [&counters](const std::string& name, uint64_t owner) {
+    ASSERT_TRUE(counters.contains(name)) << name;
+    EXPECT_EQ(counters.at(name), owner) << name;
+  };
+  uint64_t admission_drops = 0;
+  uint64_t external_rx = 0;
+  for (uint16_t node = 0; node < 4; ++node) {
+    const std::string prefix = Format("node%u/", node);
+    for (size_t p = 0; p < 4; ++p) {
+      const NicPort& port = cluster.port(node, p);
+      const std::string base = prefix + Format("nic/port%zu/", p);
+      expect_read(base + "rx_packets", port.rx_counters().packets.load());
+      expect_read(base + "rx_bytes", port.rx_counters().bytes.load());
+      expect_read(base + "rx_drops", port.rx_counters().drops.load());
+      expect_read(base + "tx_packets", port.tx_counters().packets.load());
+      expect_read(base + "tx_bytes", port.tx_counters().bytes.load());
+      expect_read(base + "tx_drops", port.tx_counters().drops.load());
+    }
+    const VlbAdmission* adm = cluster.vlb_admission(node);
+    ASSERT_NE(adm, nullptr);
+    expect_read(prefix + "elem/" + adm->name() + "/drops/admission", adm->admission_drops());
+    admission_drops += adm->admission_drops();
+    external_rx += cluster.port(node, 0).rx_counters().packets.load();
+  }
+  EXPECT_EQ(external_rx, 64u);
+  EXPECT_EQ(admission_drops, 16u) << "every frame headed to node 2 is refused at ingress";
+
+  Packet* out[64];
+  for (uint16_t node = 0; node < 4; ++node) {
+    const size_t n = cluster.DrainExternal(node, out, std::size(out));
+    for (size_t i = 0; i < n; ++i) {
+      cluster.pool().Free(out[i]);
+    }
   }
 }
 

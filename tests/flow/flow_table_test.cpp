@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "telemetry/handler.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace rb {
 namespace {
@@ -272,6 +273,34 @@ TEST(FlowTableTest, HandlersReadAndRetuneWatermarks) {
   auto idle = handlers.Write("nat.idle_ticks", "5000");
   EXPECT_TRUE(idle.ok);
   EXPECT_EQ(t.idle_timeout(), 5000u);
+}
+
+// The registry reads the table's own counters at snapshot time: with no
+// housekeeping pass (nothing pushes a copy), a snapshot after inserts,
+// watermark evictions and a replay already shows every live value.
+TEST(FlowTableTest, RegistryReadsLiveCountsWithoutHousekeeping) {
+  FlowTableConfig c = SmallConfig(64, 1);
+  c.hi_watermark = 0.5;
+  c.lo_watermark = 0.25;
+  FlowTable t(c);
+  telemetry::MetricRegistry registry;
+  t.BindTelemetry(&registry, "node0/", "nat");
+  for (uint32_t i = 0; i < 100; ++i) {
+    t.FindOrInsert(Key(i), i);
+  }
+  FlowEntry replayed = *t.FindOrInsert(Key(500), 100);
+  t.Erase(Key(500));
+  ASSERT_NE(t.Restore(0, replayed), nullptr);
+
+  const telemetry::RegistrySnapshot snap = registry.Snapshot();
+  const FlowTableStats s = t.stats();
+  ASSERT_GT(t.occupancy(), 0u);
+  ASSERT_GT(s.evictions(), 0u);
+  EXPECT_EQ(snap.GaugeValue("node0/flow/nat/flows"), static_cast<double>(t.occupancy()));
+  EXPECT_EQ(snap.GaugeValue("node0/flow/nat/evictions"), static_cast<double>(s.evictions()));
+  EXPECT_EQ(snap.GaugeValue("node0/flow/nat/replays"), 1.0);
+  EXPECT_EQ(snap.GaugeValue("node0/flow/nat/insert_fail"), 0.0);
+  EXPECT_EQ(snap.gauges.size(), 4u);
 }
 
 TEST(FlowTableTest, LockedVariantIsCoherentAcrossThreads) {

@@ -335,7 +335,7 @@ class ReferenceNic {
 // per burst) against the per-packet reference above, on 64 B and
 // Abilene-size frames, through rx rings overflowing part way through a kn
 // group and tx rings overflowing part way through a burst. After every
-// step the port's counters, PCIe totals and registry mirrors must equal
+// step the port's counters, PCIe totals and registry readings must equal
 // the reference's, the rings must hold exactly the frames the reference
 // accepted, in order, and the pool must hold every other frame (each drop
 // returned exactly once: a second release trips the pool's double-free

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "click/elements/from_device.hpp"
+#include "click/elements/nat.hpp"
 #include "click/elements/queue.hpp"
 #include "click/elements/to_device.hpp"
 #include "click/router.hpp"
@@ -146,6 +147,82 @@ TEST(MetricRegistryTest, SnapshotIsSortedAndComplete) {
   EXPECT_EQ(s.FindHistogram("absent"), nullptr);
 }
 
+TEST(MetricRegistryTest, ReadersAreEvaluatedAtSnapshotAndSortedAmongPushed) {
+  MetricRegistry r;
+  uint64_t owned = 5;
+  double level = 0.25;
+  r.GetCounter("b")->Add(2);
+  r.GetCounter("d")->Add(4);
+  r.AddCounterReader("a", [] { return uint64_t{1}; });
+  r.AddCounterReader("c", [&owned] { return owned; });
+  r.AddCounterReader("e", [] { return uint64_t{6}; });
+  r.GetGauge("g/pushed")->Set(1.5);
+  r.AddGaugeReader("g/read", [&level] { return level; });
+  r.AddGaugeReader("a/read", [] { return 9.0; });
+
+  telemetry::RegistrySnapshot s = r.Snapshot();
+  std::vector<std::pair<std::string, uint64_t>> want_counters = {
+      {"a", 1}, {"b", 2}, {"c", 5}, {"d", 4}, {"e", 6}};
+  EXPECT_EQ(s.counters, want_counters);
+  std::vector<std::pair<std::string, double>> want_gauges = {
+      {"a/read", 9.0}, {"g/pushed", 1.5}, {"g/read", 0.25}};
+  EXPECT_EQ(s.gauges, want_gauges);
+
+  // A reader has no copy of its own: the next snapshot reads the owner.
+  owned = 50;
+  level = 0.75;
+  s = r.Snapshot();
+  EXPECT_EQ(s.CounterValue("c"), 50u);
+  EXPECT_DOUBLE_EQ(s.GaugeValue("g/read"), 0.75);
+}
+
+TEST(MetricRegistryDeathTest, OneSourcePerName) {
+  auto zero = [] { return uint64_t{0}; };
+  auto none = [] { return 0.0; };
+  EXPECT_DEATH(
+      {
+        MetricRegistry r;
+        r.AddCounterReader("x", zero);
+        r.AddCounterReader("x", zero);
+      },
+      "second reader for counter: x");
+  EXPECT_DEATH(
+      {
+        MetricRegistry r;
+        r.AddGaugeReader("x", none);
+        r.AddGaugeReader("x", none);
+      },
+      "second reader for gauge: x");
+  EXPECT_DEATH(
+      {
+        MetricRegistry r;
+        r.GetCounter("x");
+        r.AddCounterReader("x", zero);
+      },
+      "counter is pushed, not read: x");
+  EXPECT_DEATH(
+      {
+        MetricRegistry r;
+        r.AddCounterReader("x", zero);
+        r.GetCounter("x");
+      },
+      "counter is read, not pushed: x");
+  EXPECT_DEATH(
+      {
+        MetricRegistry r;
+        r.GetGauge("x");
+        r.AddGaugeReader("x", none);
+      },
+      "gauge is pushed, not read: x");
+  EXPECT_DEATH(
+      {
+        MetricRegistry r;
+        r.AddGaugeReader("x", none);
+        r.GetGauge("x");
+      },
+      "gauge is read, not pushed: x");
+}
+
 FrameSpec Frame64(uint16_t port) {
   FrameSpec spec;
   spec.size = 64;
@@ -215,7 +292,7 @@ TEST(MetricRegistryTest, AggregationAcrossSchedulerThreads) {
   uint64_t from_total = snap.CounterValue("elem/" + from[0]->name() + "/packets_out") +
                         snap.CounterValue("elem/" + from[1]->name() + "/packets_out");
   EXPECT_EQ(from_total, static_cast<uint64_t>(kPackets));
-  // Task run/work counters were mirrored from the worker threads.
+  // The task work readers report what the worker threads moved.
   uint64_t task_work = 0;
   for (const auto& [name, value] : snap.counters) {
     if (name.rfind("task/", 0) == 0 && name.size() > 5 &&
@@ -234,20 +311,33 @@ TEST(MetricRegistryTest, AggregationAcrossSchedulerThreads) {
 }
 
 TEST(TelemetryTest, DisabledGateSkipsBinding) {
+  // Every owner that registers readers when enabled — NIC port, element,
+  // FromDevice, a CoDel Queue with a high watermark, Nat and its flow
+  // table, tasks — registers none (and pushes nothing) when disabled.
   telemetry::SetEnabled(false);
   MetricRegistry registry;
   Router router;
   NicConfig cfg;
   NicPort nic(cfg);
+  nic.BindTelemetry(&registry, "nic/");
+  QueueOptions qopt;
+  qopt.capacity = 16;
+  qopt.hi_watermark = 8;
+  qopt.aqm = AqmMode::kCoDel;
   auto* from = router.Add<FromDevice>(&nic, 0, 32, -1);
-  auto* queue = router.Add<QueueElement>(16);
+  auto* nat = router.Add<Nat>();
+  auto* queue = router.Add<QueueElement>(qopt);
   auto* to = router.Add<ToDevice>(&nic, 0, 32, -1);
-  router.Connect(from, 0, queue, 0);
+  router.Connect(from, 0, nat, 0);
+  router.Connect(nat, 0, queue, 0);
   router.Connect(queue, 0, to, 0);
   router.BindTelemetry(&registry, nullptr);
   router.Initialize();
   telemetry::SetEnabled(true);
-  EXPECT_TRUE(registry.Snapshot().counters.empty());
+  telemetry::RegistrySnapshot snap = registry.Snapshot();
+  EXPECT_TRUE(snap.counters.empty());
+  EXPECT_TRUE(snap.gauges.empty());
+  EXPECT_TRUE(snap.histograms.empty());
 }
 
 }  // namespace
