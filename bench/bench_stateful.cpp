@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "click/elements/misc.hpp"
 #include "click/elements/nat.hpp"
 #include "click/router.hpp"
 #include "cluster/des.hpp"
@@ -110,20 +111,6 @@ ChurnResult RunChurn(size_t target_flows, size_t capacity, uint64_t extra_ops,
 
 // --- phase 2: Nat under 2x table overload ---
 
-class DrainSink : public rb::Element {
- public:
-  explicit DrainSink(rb::PacketPool* pool) : Element(1, 0), pool_(pool) {}
-  const char* class_name() const override { return "DrainSink"; }
-  void Push(int, rb::Packet* p) override {
-    count++;
-    pool_->Free(p);
-  }
-  uint64_t count = 0;
-
- private:
-  rb::PacketPool* pool_;
-};
-
 struct OverloadResult {
   uint64_t offered = 0;
   uint64_t forwarded = 0;
@@ -146,8 +133,8 @@ OverloadResult RunOverload(size_t capacity, bool evict_on_full) {
   }
   rb::PacketPool pool(1024);
   auto* nat = r.Add<rb::Nat>(opt);
-  auto* out = r.Add<DrainSink>(&pool);
-  auto* in = r.Add<DrainSink>(&pool);
+  auto* out = r.Add<rb::Discard>();
+  auto* in = r.Add<rb::Discard>();
   r.Connect(nat, 0, out, 0);
   r.Connect(nat, 1, in, 0);
   r.Initialize();
@@ -172,7 +159,7 @@ OverloadResult RunOverload(size_t capacity, bool evict_on_full) {
     }
   }
   res.offered = flows;
-  res.forwarded = out->count;
+  res.forwarded = out->count();
   res.evict_watermark = nat->table().stats().evict_watermark;
   res.table_full_drops = nat->table_full_drops();
   res.mappings_in_use = nat->mappings_in_use();

@@ -614,7 +614,10 @@ ConfigParseResult ParseClickConfig(const std::string& text, Router* router,
     return fail(Format("unrecognized statement '%s'", stmt.c_str()));
   }
 
-  result.ok = true;
+  // Graph-level rule, checked once the whole graph is wired (Click
+  // rejects push/pull disagreement at configure time, not at run time).
+  result.error = router->PullPathError();
+  result.ok = result.error.empty();
   return result;
 }
 

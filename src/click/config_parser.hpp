@@ -24,6 +24,9 @@
 //
 // Device indices resolve against the ConfigContext's port list; IPLookup
 // uses the context's routing table and IPsec* the context's ESP config.
+// A Queue's output may lead only through Counters to a ToDevice (or stay
+// unwired); any other element there is reported as an error naming it
+// (Router::PullPathError).
 #ifndef RB_CLICK_CONFIG_PARSER_HPP_
 #define RB_CLICK_CONFIG_PARSER_HPP_
 

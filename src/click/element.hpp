@@ -10,19 +10,17 @@
 // every queue and every packet is handled by a single core is enforced by
 // statically assigning tasks to cores (scheduler.hpp).
 //
-// Dataflow is batch-native (FastClick-style): the primary handoff is
-// PushBatch/PullBatch moving a whole PacketBatch per virtual call, so the
-// driver's kp-packet poll burst traverses the graph without being
-// serialized back into per-packet calls. Per-packet Push/Pull remain as a
-// compatibility surface: a legacy element that only overrides Push keeps
-// working (the base PushBatch loops over it), and a batch-native element
-// fed by a legacy upstream receives one-packet batches (BatchElement
-// wraps). See DESIGN.md §11 for the API and ownership rules.
+// Dataflow is batch-only (FastClick-style): PushBatch/PullBatch move a
+// whole PacketBatch per virtual call, so the driver's kp-packet poll
+// burst traverses the graph without being serialized into per-packet
+// calls. A pull reaches only elements that pull their input
+// (pulls_input()), so every element between a Queue and the element that
+// drains it must be one; Router::Initialize checks this. See DESIGN.md
+// §11 for the API, ownership and pull-path rules.
 //
-// Ownership: a pushed packet (or batch of packets) belongs to the callee;
-// an element that drops packets returns them to their pool via
-// PacketPool::Release / PacketBatch::ReleaseAll. A PushBatch callee must
-// leave the batch empty on return.
+// Ownership: a pushed batch belongs to the callee, which must leave it
+// empty on return; an element that drops packets returns them to their
+// pool via DropBatch (PacketBatch::ReleaseAll).
 #ifndef RB_CLICK_ELEMENT_HPP_
 #define RB_CLICK_ELEMENT_HPP_
 
@@ -58,34 +56,22 @@ class Element {
 
   virtual const char* class_name() const = 0;
 
-  // --- per-packet compatibility API ---
-
-  // Push processing: receives a packet on input `port`. Default: drop.
-  virtual void Push(int port, Packet* p);
-
-  // Pull processing: downstream requests a packet from output `port`.
-  // Default: pulls from input 0 (pass-through) or returns nullptr.
-  virtual Packet* Pull(int port);
-
-  // --- batch-native primary API ---
-
   // Receives a whole batch on input `port`, taking ownership of every
-  // packet in it; must leave `batch` empty on return. Default: per-packet
-  // fallback — drains the batch through virtual Push(port, p), which keeps
-  // unported (legacy) elements working when fed by a batch-native
-  // upstream.
+  // packet in it; must leave `batch` empty on return. Default: drop the
+  // batch. Every element with inputs overrides this.
   virtual void PushBatch(int port, PacketBatch& batch);
 
   // Downstream requests up to `max` packets from output `port`, appended
   // to `out`. Returns the number appended; the caller owns them. Default:
-  // per-packet fallback — loops virtual Pull(port).
+  // nothing to pull (0). Queue and Counter override this.
   virtual size_t PullBatch(int port, PacketBatch* out, int max);
 
-  // True when this element's hot path handles whole batches in one
-  // virtual call (i.e. it is not relying on the per-packet fallback).
-  // The graph-walk test asserts this for every element in the standard
-  // router graphs.
-  virtual bool batch_native() const { return false; }
+  // True when this element takes its input by pulling: it drains input 0
+  // itself (ToDevice's task) or forwards a pull on its output to input 0
+  // (Counter). Only such elements may sit downstream of a Queue; the
+  // router refuses a pull path through any other element, which a pull
+  // would skip (Router::PullPathError).
+  virtual bool pulls_input() const { return false; }
 
   // --- backpressure ---
 
@@ -159,32 +145,23 @@ class Element {
   virtual void AddHandlers(telemetry::HandlerRegistry* handlers);
 
  protected:
-  // Sends `p` out of output `port` (per-packet push). If the port is
-  // unconnected the packet is dropped and counted.
-  void Output(int port, Packet* p);
-
   // Sends a whole batch out of output `port` in one downstream PushBatch
   // call: telemetry counters and the profiler handoff scope are paid once
   // per batch, tracer hops are recorded per packet. `batch` is empty on
   // return (consumed downstream, or dropped if the port is unconnected).
   void OutputBatch(int port, PacketBatch& batch);
 
-  // Pulls a packet from whatever is connected to input `port` (pull path).
-  Packet* Input(int port);
-
   // Pulls up to `max` packets from input `port` into `out` in one upstream
   // PullBatch call. Returns the number appended.
   size_t InputBatch(int port, PacketBatch* out, int max);
-
-  void Drop(Packet* p);
 
   // Drops every packet in `batch` (counted per packet, traced per packet,
   // released to their pools exactly once); empties the batch.
   void DropBatch(PacketBatch& batch);
 
-  // Credits `n` packets to this element's packets_out counter. Output()
-  // does this automatically; sink elements (no downstream push) call it
-  // when they consume a packet, e.g. ToDevice on transmit.
+  // Credits `n` packets to this element's packets_out counter.
+  // OutputBatch() does this automatically; sink elements (no downstream
+  // push) call it when they consume packets, e.g. ToDevice on transmit.
   void CountPacketsOut(uint64_t n) {
     if (tele_packets_ != nullptr) {
       tele_packets_->Add(n);
@@ -220,30 +197,6 @@ class Element {
   telemetry::LatencyHistogram* tele_lat_drop_ = nullptr;
   double ns_per_cycle_ = 0;
   telemetry::PathTracer* tracer_ = nullptr;
-};
-
-// Base class for batch-native elements: the element implements PushBatch
-// as its one processing routine, and per-packet Push (the legacy-upstream
-// interop path) wraps the packet into a one-element batch. PushBatch's
-// default mirrors Element::Push's default (drop), so a subclass that
-// forgets to override it degrades to the old drop semantics instead of
-// recursing.
-class BatchElement : public Element {
- public:
-  using Element::Element;
-
-  bool batch_native() const final { return true; }
-
-  // Interop with legacy per-packet upstreams: one-packet batch.
-  void Push(int port, Packet* p) final {
-    PacketBatch b;
-    b.PushBack(p);
-    PushBatch(port, b);
-  }
-
-  // Default: drop the whole batch (the batch analogue of Element::Push's
-  // default). Every concrete batch element overrides this.
-  void PushBatch(int port, PacketBatch& batch) override;
 };
 
 }  // namespace rb

@@ -10,9 +10,9 @@
 
 namespace rb {
 
-class CheckIpHeader : public BatchElement {
+class CheckIpHeader : public Element {
  public:
-  CheckIpHeader() : BatchElement(1, 2) {}
+  CheckIpHeader() : Element(1, 2) {}
   const char* class_name() const override { return "CheckIPHeader"; }
   void PushBatch(int port, PacketBatch& batch) override;
   bool CompileMatch(program::MatchProgram* out) const override;

@@ -34,7 +34,7 @@ bool EtherClassifier::CompileMatch(program::MatchProgram* out) const {
 }
 
 IpProtoClassifier::IpProtoClassifier(std::vector<uint8_t> protos)
-    : BatchElement(1, static_cast<int>(protos.size()) + 1),
+    : Element(1, static_cast<int>(protos.size()) + 1),
       protos_(std::move(protos)),
       lanes_(protos_.size() + 1) {}
 

@@ -21,15 +21,15 @@
 
 namespace rb {
 
-class EtherClassifier : public BatchElement {
+class EtherClassifier : public Element {
  public:
-  EtherClassifier() : BatchElement(1, 2) {}
+  EtherClassifier() : Element(1, 2) {}
   const char* class_name() const override { return "EtherClassifier"; }
   void PushBatch(int port, PacketBatch& batch) override;
   bool CompileMatch(program::MatchProgram* out) const override;
 };
 
-class IpProtoClassifier : public BatchElement {
+class IpProtoClassifier : public Element {
  public:
   // One output per protocol in `protos`, plus a final "no match" output.
   explicit IpProtoClassifier(std::vector<uint8_t> protos);
@@ -42,10 +42,10 @@ class IpProtoClassifier : public BatchElement {
   std::vector<PacketBatch> lanes_;  // one-core-per-element scratch
 };
 
-class HashSwitch : public BatchElement {
+class HashSwitch : public Element {
  public:
   explicit HashSwitch(int n_outputs)
-      : BatchElement(1, n_outputs), lanes_(static_cast<size_t>(n_outputs)) {}
+      : Element(1, n_outputs), lanes_(static_cast<size_t>(n_outputs)) {}
   const char* class_name() const override { return "HashSwitch"; }
   void PushBatch(int port, PacketBatch& batch) override;
 
@@ -53,10 +53,10 @@ class HashSwitch : public BatchElement {
   std::vector<PacketBatch> lanes_;
 };
 
-class RoundRobinSwitch : public BatchElement {
+class RoundRobinSwitch : public Element {
  public:
   explicit RoundRobinSwitch(int n_outputs)
-      : BatchElement(1, n_outputs), lanes_(static_cast<size_t>(n_outputs)) {}
+      : Element(1, n_outputs), lanes_(static_cast<size_t>(n_outputs)) {}
   const char* class_name() const override { return "RoundRobinSwitch"; }
   void PushBatch(int port, PacketBatch& batch) override;
 

@@ -3,7 +3,7 @@
 namespace rb {
 
 EtherEncap::EtherEncap(const MacAddress& src, const MacAddress& dst, uint16_t ether_type)
-    : BatchElement(1, 1), src_(src), dst_(dst), ether_type_(ether_type) {}
+    : Element(1, 1), src_(src), dst_(dst), ether_type_(ether_type) {}
 
 void EtherEncap::PushBatch(int /*port*/, PacketBatch& batch) {
   for (Packet* p : batch) {
@@ -32,7 +32,7 @@ void StripEther::PushBatch(int /*port*/, PacketBatch& batch) {
 }
 
 EtherRewrite::EtherRewrite(const MacAddress& src, const MacAddress& dst)
-    : BatchElement(1, 1), src_(src), dst_(dst) {}
+    : Element(1, 1), src_(src), dst_(dst) {}
 
 void EtherRewrite::PushBatch(int /*port*/, PacketBatch& batch) {
   PacketBatch ok;
@@ -52,7 +52,7 @@ void EtherRewrite::PushBatch(int /*port*/, PacketBatch& batch) {
   OutputBatch(0, ok);
 }
 
-VlbEncap::VlbEncap(const MacAddress& src) : BatchElement(1, 1), src_(src) {}
+VlbEncap::VlbEncap(const MacAddress& src) : Element(1, 1), src_(src) {}
 
 void VlbEncap::PushBatch(int /*port*/, PacketBatch& batch) {
   PacketBatch ok;

@@ -14,7 +14,7 @@ constexpr uint64_t kTokenFp = 1u << 16;  // one token in 16.16 fixed point
 }  // namespace
 
 FlowPolicer::FlowPolicer(const FlowPolicerOptions& options)
-    : BatchElement(options.mode == PolicerMode::kFirewall ? 2 : 1,
+    : Element(options.mode == PolicerMode::kFirewall ? 2 : 1,
                    options.mode == PolicerMode::kFirewall ? 2 : 1),
       opt_(options),
       table_([&options] {

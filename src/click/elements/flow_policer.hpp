@@ -42,7 +42,7 @@ struct FlowPolicerOptions {
   bool evict_on_full = true;
 };
 
-class FlowPolicer : public BatchElement {
+class FlowPolicer : public Element {
  public:
   explicit FlowPolicer(const FlowPolicerOptions& options = FlowPolicerOptions{});
 

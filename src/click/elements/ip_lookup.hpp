@@ -21,7 +21,7 @@
 
 namespace rb {
 
-class IpLookup : public BatchElement {
+class IpLookup : public Element {
  public:
   // Identity map: next_hop h in [1, n_next_hops] exits output h - 1.
   // `table` is borrowed and must outlive the element.

@@ -12,7 +12,7 @@
 
 namespace rb {
 
-class IpsecEncrypt : public BatchElement {
+class IpsecEncrypt : public Element {
  public:
   explicit IpsecEncrypt(const EspConfig& config);
   const char* class_name() const override { return "IPsecEncrypt"; }
@@ -25,7 +25,7 @@ class IpsecEncrypt : public BatchElement {
   uint64_t encrypted_ = 0;
 };
 
-class IpsecDecrypt : public BatchElement {
+class IpsecDecrypt : public Element {
  public:
   explicit IpsecDecrypt(const EspConfig& config);
   const char* class_name() const override { return "IPsecDecrypt"; }

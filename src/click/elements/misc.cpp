@@ -7,14 +7,6 @@ void CounterElement::PushBatch(int /*port*/, PacketBatch& batch) {
   OutputBatch(0, batch);
 }
 
-Packet* CounterElement::Pull(int /*port*/) {
-  Packet* p = Input(0);
-  if (p != nullptr) {
-    counters_.Add(1, p->wire_bytes());
-  }
-  return p;
-}
-
 size_t CounterElement::PullBatch(int /*port*/, PacketBatch* out, int max) {
   const uint32_t before = out->size();
   size_t moved = InputBatch(0, out, max);

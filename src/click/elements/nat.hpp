@@ -42,7 +42,7 @@ struct NatOptions {
   bool evict_on_full = true;     // false: full window -> flow_table_full drop
 };
 
-class Nat : public BatchElement {
+class Nat : public Element {
  public:
   explicit Nat(const NatOptions& options = NatOptions{});
 

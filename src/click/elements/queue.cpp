@@ -29,7 +29,7 @@ QueueOptions Normalize(QueueOptions opt) {
 QueueElement::QueueElement(size_t capacity) : QueueElement(QueueOptions{.capacity = capacity}) {}
 
 QueueElement::QueueElement(const QueueOptions& options)
-    : BatchElement(1, 1),
+    : Element(1, 1),
       opt_(Normalize(options)),
       ring_(opt_.capacity),
       clock_(&telemetry::NowSeconds) {
@@ -199,10 +199,9 @@ void QueueElement::MaybeUnblock() {
   }
 }
 
-void QueueElement::DropAqm(Packet* p) {
-  aqm_drops_.fetch_add(1, std::memory_order_relaxed);
-  telemetry::FrRecord(telemetry::FrEvent::kAqmDrop, profile_scope(), codel_count_);
-  Drop(p);
+void QueueElement::DropAqm(PacketBatch& dropped) {
+  aqm_drops_.fetch_add(dropped.size(), std::memory_order_relaxed);
+  DropBatch(dropped);
 }
 
 void QueueElement::NoteDequeue(Packet* p, double now) {
@@ -223,25 +222,18 @@ void QueueElement::NoteDequeueBurst(Packet* const* popped, size_t n) {
 }
 
 void QueueElement::PushBatch(int /*port*/, PacketBatch& batch) {
-  // Drop-tail per packet: a burst that straddles capacity enqueues its
-  // prefix and drops exactly the overflow — each overflowed packet is
-  // counted once and released to its pool once, never double-released
-  // with the enqueued prefix.
-  const bool stamp = stamp_sojourn_;
-  const double now = stamp ? clock_() : 0;
-  const uint32_t n = batch.size();
-  uint32_t accepted = 0;
-  while (accepted < n) {
-    Packet* p = batch[accepted];
-    if (stamp) {
+  // Drop-tail in one ring publish: the prefix that fits is enqueued and
+  // only the overflow is counted and released as drops, each packet once,
+  // never double-released with the enqueued prefix. Stamps go on before
+  // the publish: an enqueued packet may already belong to the puller.
+  if (stamp_sojourn_) {
+    const double now = clock_();
+    for (Packet* p : batch) {
       p->set_enqueue_time(now);
     }
-    if (!ring_.TryPush(p)) {
-      break;
-    }
-    accepted++;
   }
-  if (accepted < n) {
+  const auto accepted = static_cast<uint32_t>(ring_.TryPushBurst(batch.begin(), batch.size()));
+  if (accepted < batch.size()) {
     PacketBatch overflow;
     batch.SplitAfter(accepted, &overflow);
     overflow_drops_.fetch_add(overflow.size(), std::memory_order_relaxed);
@@ -291,27 +283,6 @@ bool QueueElement::CodelShouldDrop(double sojourn, double now) {
   return false;
 }
 
-Packet* QueueElement::Pull(int /*port*/) {
-  const bool codel = opt_.aqm == AqmMode::kCoDel;
-  const bool note = codel || tracer() != nullptr;
-  Packet* p = nullptr;
-  while (ring_.TryPop(&p)) {
-    if (note) {
-      const double now = clock_();
-      if (codel && CodelShouldDrop(now - p->enqueue_time(), now)) {
-        DropAqm(p);
-        p = nullptr;
-        continue;
-      }
-      NoteDequeue(p, now);
-    }
-    MaybeUnblock();
-    return p;
-  }
-  MaybeUnblock();
-  return nullptr;
-}
-
 size_t QueueElement::PullBatch(int /*port*/, PacketBatch* out, int max) {
   const bool codel = opt_.aqm == AqmMode::kCoDel;
   size_t moved = 0;
@@ -332,17 +303,23 @@ size_t QueueElement::PullBatch(int /*port*/, PacketBatch* out, int max) {
     MaybeUnblock();
     return moved;
   }
+  PacketBatch dropped;  // CoDel's victims, released through DropBatch
   Packet* p = nullptr;
   while (moved < static_cast<size_t>(max) && !out->full() && ring_.TryPop(&p)) {
     const double now = clock_();
     if (CodelShouldDrop(now - p->enqueue_time(), now)) {
-      DropAqm(p);
+      telemetry::FrRecord(telemetry::FrEvent::kAqmDrop, profile_scope(), codel_count_);
+      dropped.PushBack(p);
+      if (dropped.full()) {
+        DropAqm(dropped);
+      }
       continue;
     }
     NoteDequeue(p, now);
     out->PushBack(p);
     moved++;
   }
+  DropAqm(dropped);
   // Low-watermark unblock must fire on the pull side even when the batch
   // fills up (partial consumption of the ring) or the consumer drained
   // via AQM drops only — the push side never clears the sticky flag.

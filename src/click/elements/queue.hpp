@@ -3,10 +3,12 @@
 // RouteBricks' scheduling discipline (a queue sits between exactly one
 // pushing core and one pulling core).
 //
-// Batch-native on both sides: PushBatch enqueues a whole burst (packets
-// that do not fit are the *only* ones counted and released as drops), and
-// PullBatch dequeues up to the caller's burst in one call — the handoff
-// between a kp-sized poll burst and a kn-sized transmit burst.
+// Batches on both sides: PushBatch enqueues a whole burst with one ring
+// publish (packets that do not fit are the *only* ones counted and
+// released as drops), and PullBatch dequeues up to the caller's burst in
+// one call — the handoff between a kp-sized poll burst and a kn-sized
+// transmit burst. Only elements that pull their input (Counter, ToDevice)
+// may be wired downstream of a Queue (Router::PullPathError).
 //
 // Overload control (DESIGN.md §12):
 //  - High/low watermarks: when occupancy reaches `hi_watermark` the queue
@@ -53,7 +55,7 @@ struct QueueOptions {
   double codel_interval_s = 100e-3;  // how long above target before drops
 };
 
-class QueueElement : public BatchElement {
+class QueueElement : public Element {
  public:
   explicit QueueElement(size_t capacity = 1024);
   explicit QueueElement(const QueueOptions& options);
@@ -61,7 +63,6 @@ class QueueElement : public BatchElement {
   const char* class_name() const override { return "Queue"; }
 
   void PushBatch(int port, PacketBatch& batch) override;
-  Packet* Pull(int port) override;
   size_t PullBatch(int port, PacketBatch* out, int max) override;
 
   // Adds readers of the queue's own counts on top of the standard element
@@ -117,7 +118,8 @@ class QueueElement : public BatchElement {
   void MaybeUnblock();  // pull side: clear Blocked at lo
   // CoDel control law applied to one dequeued packet; true = drop it.
   bool CodelShouldDrop(double sojourn, double now);
-  void DropAqm(Packet* p);
+  // Counts `dropped` as AQM drops and releases it; empties the batch.
+  void DropAqm(PacketBatch& dropped);
   // Publishes one dequeued packet's sojourn (wait gauge + sparkline feed)
   // and, when sampled, its "<name>/deq" trace hop. Pull-side only.
   void NoteDequeue(Packet* p, double now);

@@ -7,7 +7,7 @@
 namespace rb {
 
 ToDevice::ToDevice(NicPort* port, uint16_t tx_queue, uint16_t burst, int home_core)
-    : BatchElement(1, 0), port_(port), tx_queue_(tx_queue), burst_(burst), home_core_(home_core) {
+    : Element(1, 0), port_(port), tx_queue_(tx_queue), burst_(burst), home_core_(home_core) {
   RB_CHECK(port != nullptr);
   RB_CHECK(burst >= 1);
   RB_CHECK(tx_queue < port->num_tx_queues());

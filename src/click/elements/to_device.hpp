@@ -18,7 +18,7 @@
 
 namespace rb {
 
-class ToDevice : public BatchElement {
+class ToDevice : public Element {
  public:
   ToDevice(NicPort* port, uint16_t tx_queue, uint16_t burst = 32, int home_core = -1);
 
@@ -27,6 +27,10 @@ class ToDevice : public BatchElement {
 
   // Push mode: a pushed batch is transmitted immediately.
   void PushBatch(int port, PacketBatch& batch) override;
+
+  // Pull mode: the drain task pulls input 0, so ToDevice may end a pull
+  // path.
+  bool pulls_input() const override { return true; }
 
   // One pull-mode drain iteration: pulls up to `burst` packets from input
   // 0 and transmits them. Returns packets moved.

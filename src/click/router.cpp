@@ -26,8 +26,8 @@ void Router::Connect(Element* from, int out_port, Element* to, int in_port) {
   out_ref = {to, in_port};
   // Push inputs may fan in (multiple upstream elements pushing into the
   // same port, as in Click). The input back-reference records the first
-  // upstream only; it is what Pull() follows, so pull paths must stay
-  // single-wired by construction (Queue -> ToDevice chains are).
+  // upstream only; it is what InputBatch() pulls from, so a pull input
+  // must have exactly one wire (PullPathError checks it).
   if (!in_ref.connected()) {
     in_ref = {from, out_port};
   }
@@ -144,6 +144,48 @@ bool Router::PullsFromQueue(const Element* sink) const {
     }
   }
   return false;
+}
+
+std::string Router::PullPathError() const {
+  for (const auto& owned : elements_) {
+    const Element* queue = owned.get();
+    if (!queue->backpressure_boundary()) {
+      continue;
+    }
+    // Walk the queue's pull side. Every element it reaches must pull its
+    // input, through the one wire that input has; each one's outputs are
+    // pulled in turn. Visited elements are not walked twice, so a wiring
+    // cycle ends the walk.
+    std::vector<const Element*> frontier{queue};
+    std::vector<const Element*> visited;
+    while (!frontier.empty()) {
+      const Element* from = frontier.back();
+      frontier.pop_back();
+      if (std::find(visited.begin(), visited.end(), from) != visited.end()) {
+        continue;
+      }
+      visited.push_back(from);
+      for (size_t out = 0; out < from->outputs_.size(); ++out) {
+        const auto& ref = from->outputs_[out];
+        if (!ref.connected()) {
+          continue;  // drained by hand (tests) or not at all
+        }
+        const Element* to = ref.element;
+        if (!to->pulls_input()) {
+          return Format("'%s' (%s) is on the pull path of queue '%s' but does not pull its input",
+                        to->name().c_str(), to->class_name(), queue->name().c_str());
+        }
+        const auto& back = to->inputs_[static_cast<size_t>(ref.port)];
+        if (back.element != from || back.port != static_cast<int>(out)) {
+          return Format("'%s' (%s) input %d is on the pull path of queue '%s' and has more "
+                        "than one wire",
+                        to->name().c_str(), to->class_name(), ref.port, queue->name().c_str());
+        }
+        frontier.push_back(to);
+      }
+    }
+  }
+  return "";
 }
 
 int Router::CompilePrograms() {
@@ -297,6 +339,8 @@ int Router::CompilePrograms() {
 
 void Router::Initialize() {
   RB_CHECK_MSG(!initialized_, "Router::Initialize called twice");
+  const std::string pull_error = PullPathError();
+  RB_CHECK_MSG(pull_error.empty(), pull_error.c_str());
   initialized_ = true;
   for (auto& e : elements_) {
     e->Initialize(this);

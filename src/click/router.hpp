@@ -73,9 +73,20 @@ class Router {
   int CompilePrograms();
 
   // Validates wiring (port indices sane, no double wiring — enforced at
-  // Connect time) and calls Initialize on every element in insertion
-  // order. Must be called exactly once before running.
+  // Connect time — and the pull-path rule below) and calls Initialize on
+  // every element in insertion order. Must be called exactly once before
+  // running.
   void Initialize();
+
+  // The pull-path rule (Click's push/pull agreement, checked when the
+  // graph is configured): every element wired downstream of a Queue's
+  // output, up to and including the one that drains it, must pull its
+  // input (Element::pulls_input) through a single wire. Anything else
+  // would be skipped by the pull or left holding packets nobody pulls.
+  // Returns "" when the graph obeys the rule, else an error naming the
+  // first element that breaks it. Initialize aborts on an error;
+  // ParseClickConfig reports it.
+  std::string PullPathError() const;
 
   // Runs every task once, in registration order; returns packets moved.
   // This is the deterministic single-threaded driver used by tests and by
@@ -95,7 +106,8 @@ class Router {
 
   // Pull-path discovery, the mirror of DownstreamBlockers: true when
   // `sink`'s input 0 is fed by a boundary element (queue), directly or
-  // through pass-through elements; false when `sink` is fed by push.
+  // through elements that forward pulls (PullPathError admits no other);
+  // false when `sink` is fed by push.
   bool PullsFromQueue(const Element* sink) const;
 
   const std::vector<std::unique_ptr<Task>>& tasks() const { return tasks_; }

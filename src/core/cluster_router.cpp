@@ -14,7 +14,7 @@
 namespace rb {
 
 VlbRoute::VlbRoute(const LpmTable* table, DirectVlbRouter* vlb, uint16_t self, uint16_t num_nodes)
-    : BatchElement(1, num_nodes),
+    : Element(1, num_nodes),
       table_(table),
       vlb_(vlb),
       self_(self),
@@ -72,7 +72,7 @@ void VlbRoute::PushBatch(int /*port*/, PacketBatch& batch) {
 }
 
 VlbAdmission::VlbAdmission(const LpmTable* table, AdmissionDrr* drr, uint16_t num_nodes)
-    : BatchElement(1, 1), table_(table), drr_(drr), num_nodes_(num_nodes) {
+    : Element(1, 1), table_(table), drr_(drr), num_nodes_(num_nodes) {
   RB_CHECK(table != nullptr && drr != nullptr);
 }
 
@@ -124,7 +124,7 @@ void VlbAdmission::PushBatch(int /*port*/, PacketBatch& batch) {
 }
 
 VlbSteer::VlbSteer(uint16_t self, uint16_t queue_node)
-    : BatchElement(1, 2), self_(self), queue_node_(queue_node) {}
+    : Element(1, 2), self_(self), queue_node_(queue_node) {}
 
 void VlbSteer::PushBatch(int /*port*/, PacketBatch& batch) {
   steered_ += batch.size();

@@ -37,7 +37,7 @@ namespace rb {
 // Input-node element: full header processing + VLB path choice + MAC
 // encoding. Output j sends toward node j (the wire port); output self
 // delivers locally.
-class VlbRoute : public BatchElement {
+class VlbRoute : public Element {
  public:
   VlbRoute(const LpmTable* table, DirectVlbRouter* vlb, uint16_t self, uint16_t num_nodes);
   const char* class_name() const override { return "VlbRoute"; }
@@ -65,7 +65,7 @@ class QueueElement;
 // legs it watches (WatchQueue). Rejects are counted in admission_drops()
 // (read as "elem/<name>/drops/admission") and dropped here, so the mesh
 // never carries them.
-class VlbAdmission : public BatchElement {
+class VlbAdmission : public Element {
  public:
   VlbAdmission(const LpmTable* table, AdmissionDrr* drr, uint16_t num_nodes);
   const char* class_name() const override { return "VlbAdmission"; }
@@ -96,7 +96,7 @@ class VlbAdmission : public BatchElement {
 // Transit/output-node element for one MAC-steered rx queue: stamps the
 // output node implied by the queue and forwards without header reads.
 // Output 0: local external delivery; output 1: toward the output node.
-class VlbSteer : public BatchElement {
+class VlbSteer : public Element {
  public:
   VlbSteer(uint16_t self, uint16_t queue_node);
   const char* class_name() const override { return "VlbSteer"; }

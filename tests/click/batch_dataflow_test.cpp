@@ -1,132 +1,25 @@
-// End-to-end tests of the batch-native dataflow: legacy<->batch interop,
-// the Queue partial-fit drop accounting, FromDevice graph-batch chunking,
-// the graph-walk guarantee that every production element is batch-native,
-// and the two-core batched Queue handoff under real threads.
+// End-to-end tests of the batch dataflow: the Queue partial-fit drop
+// accounting, FromDevice graph-batch chunking, the batch ownership rule
+// for every class the Click parser accepts, and the two-core batched
+// Queue handoff under real threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
+#include "click/config_parser.hpp"
 #include "click/elements/from_device.hpp"
 #include "click/elements/misc.hpp"
 #include "click/elements/queue.hpp"
 #include "click/router.hpp"
-#include "core/cluster_router.hpp"
-#include "core/single_server_router.hpp"
+#include "collect_sink.hpp"
+#include "lookup/dir24_8.hpp"
+#include "lookup/table_gen.hpp"
 #include "packet/pool.hpp"
 #include "workload/synthetic.hpp"
 
 namespace rb {
 namespace {
-
-// A legacy (per-packet) element: records every Push it receives.
-class LegacySink : public Element {
- public:
-  LegacySink() : Element(1, 0) {}
-  const char* class_name() const override { return "LegacySink"; }
-  void Push(int /*port*/, Packet* p) override { received.push_back(p); }
-  std::vector<Packet*> received;
-};
-
-// A legacy pass-through: per-packet Push that forwards to output 0.
-class LegacyRelay : public Element {
- public:
-  LegacyRelay() : Element(1, 1) {}
-  const char* class_name() const override { return "LegacyRelay"; }
-  void Push(int /*port*/, Packet* p) override { Output(0, p); }
-};
-
-// A batch-native sink: records the size of every batch it receives.
-class BatchSink : public BatchElement {
- public:
-  BatchSink() : BatchElement(1, 0) {}
-  const char* class_name() const override { return "BatchSink"; }
-  void PushBatch(int /*port*/, PacketBatch& batch) override {
-    batch_sizes.push_back(batch.size());
-    for (Packet* p : batch) {
-      received.push_back(p);
-    }
-    batch.Clear();
-  }
-  std::vector<uint32_t> batch_sizes;
-  std::vector<Packet*> received;
-};
-
-// A batch-native pass-through (stand-in for any ported element).
-class BatchRelay : public BatchElement {
- public:
-  BatchRelay() : BatchElement(1, 1) {}
-  const char* class_name() const override { return "BatchRelay"; }
-  void PushBatch(int /*port*/, PacketBatch& batch) override { OutputBatch(0, batch); }
-};
-
-TEST(BatchDataflowTest, BatchIntoLegacyFallsBackToPerPacket) {
-  Router r;
-  auto* relay = r.Add<BatchRelay>();
-  auto* sink = r.Add<LegacySink>();
-  r.Connect(relay, 0, sink, 0);
-  r.Initialize();
-
-  PacketPool pool(8);
-  PacketBatch batch;
-  std::vector<Packet*> sent;
-  for (int i = 0; i < 5; ++i) {
-    Packet* p = pool.Alloc();
-    sent.push_back(p);
-    batch.PushBack(p);
-  }
-  relay->PushBatch(0, batch);
-  EXPECT_TRUE(batch.empty()) << "callee must leave the pushed batch empty";
-  EXPECT_EQ(sink->received, sent) << "legacy fallback must preserve order";
-  for (Packet* p : sent) {
-    pool.Free(p);
-  }
-}
-
-TEST(BatchDataflowTest, PerPacketPushIntoBatchNativeWrapsIntoBatch) {
-  Router r;
-  auto* relay = r.Add<LegacyRelay>();
-  auto* sink = r.Add<BatchSink>();
-  r.Connect(relay, 0, sink, 0);
-  r.Initialize();
-
-  PacketPool pool(4);
-  Packet* p = pool.Alloc();
-  relay->Push(0, p);
-  ASSERT_EQ(sink->received.size(), 1u);
-  EXPECT_EQ(sink->received[0], p);
-  ASSERT_EQ(sink->batch_sizes.size(), 1u);
-  EXPECT_EQ(sink->batch_sizes[0], 1u) << "per-packet push arrives as a 1-packet batch";
-  pool.Free(p);
-}
-
-TEST(BatchDataflowTest, MixedChainLegacyBetweenBatchNativeElements) {
-  // batch-native -> legacy -> batch-native: the burst degrades to
-  // per-packet across the legacy hop and re-enters batch-native elements
-  // as 1-packet batches, with no packet lost or reordered.
-  Router r;
-  auto* head = r.Add<BatchRelay>();
-  auto* legacy = r.Add<LegacyRelay>();
-  auto* sink = r.Add<BatchSink>();
-  r.Connect(head, 0, legacy, 0);
-  r.Connect(legacy, 0, sink, 0);
-  r.Initialize();
-
-  PacketPool pool(8);
-  PacketBatch batch;
-  std::vector<Packet*> sent;
-  for (int i = 0; i < 6; ++i) {
-    Packet* p = pool.Alloc();
-    sent.push_back(p);
-    batch.PushBack(p);
-  }
-  head->PushBatch(0, batch);
-  EXPECT_EQ(sink->received, sent);
-  EXPECT_EQ(sink->batch_sizes.size(), 6u);
-  for (Packet* p : sent) {
-    pool.Free(p);
-  }
-}
 
 TEST(BatchDataflowTest, QueuePartialFitCountsOnlyOverflowAsDrops) {
   // The satellite drop-accounting fix: a burst that straddles capacity
@@ -166,7 +59,7 @@ TEST(BatchDataflowTest, FromDeviceSplitsPollBurstAtGraphBatch) {
   NicPort nic(cfg);
   Router r;
   auto* from = r.Add<FromDevice>(&nic, 0, 32, -1, /*graph_batch=*/8);
-  auto* sink = r.Add<BatchSink>();
+  auto* sink = r.Add<CollectSink>();
   r.Connect(from, 0, sink, 0);
   r.Initialize();
 
@@ -180,7 +73,7 @@ TEST(BatchDataflowTest, FromDeviceSplitsPollBurstAtGraphBatch) {
   from->RunOnce();
   // 20 polled packets leave as ceil(20/8) = 3 chunks: 8, 8, 4.
   EXPECT_EQ(sink->batch_sizes, (std::vector<uint32_t>{8, 8, 4}));
-  for (Packet* p : sink->received) {
+  for (Packet* p : sink->got) {
     pool.Free(p);
   }
 }
@@ -188,8 +81,8 @@ TEST(BatchDataflowTest, FromDeviceSplitsPollBurstAtGraphBatch) {
 TEST(BatchDataflowTest, BatchSizeHistogramObservesBursts) {
   telemetry::MetricRegistry registry;
   Router r;
-  auto* relay = r.Add<BatchRelay>();
-  auto* sink = r.Add<BatchSink>();
+  auto* relay = r.Add<CounterElement>();
+  auto* sink = r.Add<CollectSink>();
   r.Connect(relay, 0, sink, 0);
   r.BindTelemetry(&registry, nullptr);
   r.Initialize();
@@ -207,40 +100,100 @@ TEST(BatchDataflowTest, BatchSizeHistogramObservesBursts) {
                   ->Snapshot();
   EXPECT_EQ(snap.count, 1u);
   EXPECT_DOUBLE_EQ(snap.max, 7.0);
-  for (Packet* p : sink->received) {
+  for (Packet* p : sink->got) {
     pool.Free(p);
   }
 }
 
-TEST(BatchDataflowTest, EveryProductionElementIsBatchNative) {
-  // The acceptance-criteria graph walk: every element the production
-  // routers instantiate must implement the batch API natively.
-  for (App app : {App::kMinimalForwarding, App::kIpRouting, App::kIpsec}) {
-    SingleServerConfig cfg;
-    cfg.num_ports = 2;
-    cfg.queues_per_port = 1;
-    cfg.cores = 1;
-    cfg.app = app;
-    cfg.pool_packets = 2048;
-    cfg.table.num_routes = 1024;
-    SingleServerRouter router(cfg);
-    router.Initialize();
-    for (const auto& e : router.graph().elements()) {
-      EXPECT_TRUE(e->batch_native())
-          << "element " << e->name() << " (app " << AppName(app) << ") is not batch-native";
-    }
-  }
+TEST(BatchDataflowTest, EveryConfigClassKeepsBatchOwnership) {
+  // DESIGN.md §11's ownership rule, class by class: each class the Click
+  // parser accepts, built alone with every push output wired to Discard,
+  // takes a 32-frame burst, leaves the pushed batch empty, and holds on
+  // to no packet except what a Queue keeps. (A Queue's output is a pull
+  // output that Discard may not take; the test drains it by hand.)
+  const char* const kClasses[] = {
+      "FromDevice(0, 0)",
+      "ToDevice(0, 0)",
+      "Queue(64)",
+      "CheckIPHeader",
+      "DecIPTTL",
+      "IPLookup(2)",
+      "EtherClassifier",
+      "Classifier(12/0800 23/11, -)",
+      "IpProtoClassifier(6, 17)",
+      "HashSwitch(4)",
+      "RoundRobinSwitch(3)",
+      "Counter",
+      "Discard",
+      "Tee(3)",
+      "Paint(2)",
+      "PaintSwitch(3)",
+      "StripEther",
+      "IPsecEncrypt",
+      "IPsecDecrypt",
+      "SetFlowHash",
+      "Nat(EXTERNAL 198.51.100.1, CAPACITY 64)",
+      "FlowPolicer(RATE 1000, BURST 4)",
+  };
+  TableGenConfig tg;
+  tg.num_routes = 256;
+  tg.num_next_hops = 2;
+  Dir24_8 table;
+  table.InsertAll(GenerateRoutingTable(tg));
+  SyntheticConfig syn_cfg;
+  syn_cfg.packet_size = 64;
+  syn_cfg.num_flows = 8;
 
-  FunctionalClusterConfig ccfg;
-  ccfg.num_nodes = 3;
-  ccfg.pool_packets = 4096;
-  ccfg.routes = 64;
-  FunctionalCluster cluster(ccfg);
-  for (uint16_t node = 0; node < ccfg.num_nodes; ++node) {
-    for (const auto& e : cluster.node_graph(node).elements()) {
-      EXPECT_TRUE(e->batch_native())
-          << "cluster node " << node << " element " << e->name() << " is not batch-native";
+  for (const char* spec : kClasses) {
+    SCOPED_TRACE(spec);
+    NicConfig nc;
+    nc.kn = 1;
+    NicPort nic(nc);
+    ConfigContext ctx;
+    ctx.ports = {&nic};
+    ctx.table = &table;
+    Router r;
+    ConfigParseResult parsed = ParseClickConfig(std::string("e :: ") + spec + ";", &r, ctx);
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    Element* e = parsed.elements.at("e");
+    auto* queue = dynamic_cast<QueueElement*>(e);
+    for (int out = 0; queue == nullptr && out < e->n_outputs(); ++out) {
+      r.Connect(e, out, r.Add<Discard>(), 0);
     }
+    r.Initialize();
+
+    PacketPool pool(256);
+    SyntheticGenerator gen(syn_cfg);
+    PacketBatch burst;
+    for (int i = 0; i < 32; ++i) {
+      burst.PushBack(AllocFrame(gen.Next(), &pool));
+    }
+    if (e->n_inputs() > 0) {
+      e->PushBatch(0, burst);
+      EXPECT_TRUE(burst.empty()) << "callee must leave the pushed batch empty";
+    } else {
+      // A source: the burst reaches it through its NIC rx queue.
+      for (Packet* p : burst) {
+        nic.Deliver(p, 0.0);
+      }
+      burst.Clear();
+      nic.FlushAllStaged();
+      r.RunUntilIdle();
+    }
+    // What ToDevice transmitted waits in the NIC tx ring; release it.
+    Packet* sent[64];
+    for (size_t n; (n = nic.DrainTx(sent, std::size(sent))) > 0;) {
+      for (size_t i = 0; i < n; ++i) {
+        pool.Free(sent[i]);
+      }
+    }
+    EXPECT_EQ(pool.in_use(), queue != nullptr ? queue->size() : 0u);
+    if (queue != nullptr) {
+      PacketBatch held;
+      queue->PullBatch(0, &held, PacketBatch::kCapacity);
+      held.ReleaseAll();
+    }
+    EXPECT_EQ(pool.in_use(), 0u);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "click/elements/misc.hpp"
+#include "collect_sink.hpp"
 #include "lookup/radix_trie.hpp"
 #include "packet/pool.hpp"
 #include "workload/synthetic.hpp"
@@ -106,9 +107,10 @@ TEST_F(ConfigParserTest, OnlyQueueFedToDeviceRegistersDrainTask) {
   const char* config = R"(
     src :: FromDevice(0, 0);
     t   :: Tee(3);
+    c   :: Counter;
     src -> t;
     t [0] -> Queue(64) -> ToDevice(1, 0);
-    t [1] -> Queue(64) -> Counter -> ToDevice(1, 1);
+    t [1] -> Queue(64) -> c -> ToDevice(1, 1);
     t [2] -> ToDevice(0, 0);
   )";
   ConfigParseResult r = ParseClickConfig(config, &router_, context_);
@@ -126,6 +128,8 @@ TEST_F(ConfigParserTest, OnlyQueueFedToDeviceRegistersDrainTask) {
   router_.RunUntilIdle();
   EXPECT_EQ(nic_out_->tx_counters().packets, 10u);
   EXPECT_EQ(nic_in_->tx_counters().packets, 5u);
+  EXPECT_EQ(dynamic_cast<CounterElement*>(r.elements.at("c"))->counters().packets, 5u)
+      << "a Counter on the pull path counts what it forwards";
   Packet* burst[16];
   for (NicPort* nic : {nic_in_.get(), nic_out_.get()}) {
     size_t n = nic->DrainTx(burst, 16);
@@ -134,6 +138,44 @@ TEST_F(ConfigParserTest, OnlyQueueFedToDeviceRegistersDrainTask) {
     }
   }
   EXPECT_EQ(pool_.available(), pool_.capacity());
+}
+
+TEST_F(ConfigParserTest, PullPathThroughPushElementRefused) {
+  // A pull skips any element that does not pull its input: between a
+  // Queue and its ToDevice each one let frames leave unprocessed, and
+  // ahead of a push sink it stranded the Queue. The parser refuses all
+  // of them and names the element.
+  const char* const kConfigs[] = {
+      "x :: IPsecEncrypt; FromDevice(0, 0) -> Queue(64) -> x -> ToDevice(1, 0);",
+      "x :: Paint(3); FromDevice(0, 0) -> Queue(64) -> x -> ToDevice(1, 0);",
+      "x :: StripEther; FromDevice(0, 0) -> Queue(64) -> x -> ToDevice(1, 0);",
+      "x :: DecIPTTL; FromDevice(0, 0) -> Queue(64) -> x -> ToDevice(1, 0);",
+      "q :: Queue(16); x :: Paint(3); FromDevice(0, 0) -> q -> x -> Discard;",
+  };
+  for (const char* config : kConfigs) {
+    SCOPED_TRACE(config);
+    Router router;
+    ConfigParseResult r = ParseClickConfig(config, &router, context_);
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("'x'"), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find("does not pull its input"), std::string::npos) << r.error;
+  }
+}
+
+TEST_F(ConfigParserTest, PullInputWithTwoWiresRefused) {
+  // ToDevice pulls from its first wire only: a Queue wired in second
+  // would hold its packets for good.
+  const char* config = R"(
+    t :: Tee(2);
+    x :: ToDevice(1, 0);
+    FromDevice(0, 0) -> t;
+    t [0] -> x;
+    t [1] -> Queue(16) -> x;
+  )";
+  ConfigParseResult r = ParseClickConfig(config, &router_, context_);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("'x'"), std::string::npos) << r.error;
+  EXPECT_NE(r.error.find("more than one wire"), std::string::npos) << r.error;
 }
 
 TEST_F(ConfigParserTest, CommentsAndWhitespaceIgnored) {
@@ -158,7 +200,7 @@ TEST_F(ConfigParserTest, NamedElementsAreShared) {
   auto* counter = dynamic_cast<CounterElement*>(r.elements.at("c"));
   ASSERT_NE(counter, nullptr);
   Packet* p = AllocFrame(Frame(), &pool_);
-  counter->Push(0, p);
+  PushOne(counter, p);
   EXPECT_EQ(counter->counters().packets, 1u);
   EXPECT_EQ(pool_.available(), pool_.capacity());  // both tee copies discarded
 }
@@ -235,8 +277,8 @@ TEST_F(ConfigParserTest, ClassifierChainWorks) {
   auto* cls = r.elements.at("cls");
   FrameSpec tcp_spec = Frame();
   tcp_spec.flow.protocol = 6;
-  cls->Push(0, AllocFrame(tcp_spec, &pool_));
-  cls->Push(0, AllocFrame(Frame(), &pool_));  // udp
+  PushOne(cls, AllocFrame(tcp_spec, &pool_));
+  PushOne(cls, AllocFrame(Frame(), &pool_));  // udp
   EXPECT_EQ(dynamic_cast<CounterElement*>(r.elements.at("tcp"))->counters().packets, 1u);
   EXPECT_EQ(dynamic_cast<CounterElement*>(r.elements.at("udp"))->counters().packets, 1u);
   EXPECT_EQ(dynamic_cast<CounterElement*>(r.elements.at("other"))->counters().packets, 0u);

@@ -3,51 +3,26 @@
 #include <gtest/gtest.h>
 
 #include "click/elements/misc.hpp"
+#include "click/elements/queue.hpp"
 #include "click/router.hpp"
+#include "collect_sink.hpp"
 #include "packet/pool.hpp"
 
 namespace rb {
 namespace {
 
-// A push element that records what it received.
-class Sink : public Element {
- public:
-  Sink() : Element(1, 0) {}
-  const char* class_name() const override { return "Sink"; }
-  void Push(int /*port*/, Packet* p) override {
-    received.push_back(p);
-  }
-  std::vector<Packet*> received;
-};
-
-// A pull source feeding from a vector.
-class VectorSource : public Element {
- public:
-  VectorSource() : Element(0, 1) {}
-  const char* class_name() const override { return "VectorSource"; }
-  Packet* Pull(int /*port*/) override {
-    if (items.empty()) {
-      return nullptr;
-    }
-    Packet* p = items.back();
-    items.pop_back();
-    return p;
-  }
-  std::vector<Packet*> items;
-};
-
 TEST(ElementTest, OutputReachesConnectedPeer) {
   Router r;
   auto* counter = r.Add<CounterElement>();
-  auto* sink = r.Add<Sink>();
+  auto* sink = r.Add<CollectSink>();
   r.Connect(counter, 0, sink, 0);
   r.Initialize();
   PacketPool pool(2);
   Packet* p = pool.Alloc();
   p->SetLength(64);
-  counter->Push(0, p);
-  ASSERT_EQ(sink->received.size(), 1u);
-  EXPECT_EQ(sink->received[0], p);
+  PushOne(counter, p);
+  ASSERT_EQ(sink->got.size(), 1u);
+  EXPECT_EQ(sink->got[0], p);
   EXPECT_EQ(counter->counters().packets, 1u);
   pool.Free(p);
 }
@@ -58,23 +33,26 @@ TEST(ElementTest, UnconnectedOutputDropsAndCounts) {
   r.Initialize();
   PacketPool pool(1);
   Packet* p = pool.Alloc();
-  counter->Push(0, p);
+  PushOne(counter, p);
   EXPECT_EQ(counter->drops(), 1u);
   EXPECT_EQ(pool.available(), 1u) << "dropped packet must return to pool";
 }
 
 TEST(ElementTest, PullFlowsThroughChain) {
   Router r;
-  auto* src = r.Add<VectorSource>();
+  auto* queue = r.Add<QueueElement>(4);
   auto* counter = r.Add<CounterElement>();
-  r.Connect(src, 0, counter, 0);
+  r.Connect(queue, 0, counter, 0);
   r.Initialize();
   PacketPool pool(2);
   Packet* p = pool.Alloc();
   p->SetLength(100);
-  src->items.push_back(p);
-  EXPECT_EQ(counter->Pull(0), p);
-  EXPECT_EQ(counter->Pull(0), nullptr);
+  PushOne(queue, p);
+  PacketBatch out;
+  ASSERT_EQ(counter->PullBatch(0, &out, 4), 1u);
+  EXPECT_EQ(out[0], p);
+  EXPECT_EQ(counter->PullBatch(0, &out, 4), 0u);
+  EXPECT_EQ(out.size(), 1u);
   EXPECT_EQ(counter->counters().packets, 1u);
   pool.Free(p);
 }
@@ -109,8 +87,8 @@ TEST(ElementTest, PushInputsMayFanIn) {
   r.Connect(sink, 0, d, 0);
   r.Initialize();
   PacketPool pool(2);
-  a->Push(0, pool.Alloc());
-  b->Push(0, pool.Alloc());
+  PushOne(a, pool.Alloc());
+  PushOne(b, pool.Alloc());
   EXPECT_EQ(sink->counters().packets, 2u);
   EXPECT_EQ(d->count(), 2u);
   EXPECT_EQ(pool.available(), 2u);

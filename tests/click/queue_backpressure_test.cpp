@@ -84,13 +84,13 @@ TEST(QueueBackpressureTest, PartialPullBatchStillUnblocks) {
   EXPECT_FALSE(q->Blocked()) << "partial (1-packet) pulls down to lo must clear Blocked";
   out.ReleaseAll();
 
-  // Same via single-packet Pull.
+  // Refilled: Blocked re-arms at hi, and one-packet pulls clear it again.
   PushN(q, &pool, 8 - q->size());
   ASSERT_TRUE(q->Blocked());
   for (int i = 0; i < 4; ++i) {
-    Packet* p = q->Pull(0);
-    ASSERT_NE(p, nullptr);
-    pool.Free(p);
+    PacketBatch one;
+    ASSERT_EQ(q->PullBatch(0, &one, 1), 1u);
+    pool.Free(one[0]);
   }
   EXPECT_FALSE(q->Blocked());
 }
@@ -134,9 +134,9 @@ TEST(QueueBackpressureTest, CodelDropsOnlyUnderPersistentSojourn) {
   PushN(q, &pool, 64);
   g_clock_now = 1.2;  // every queued packet now 200ms old (>> target)
   uint64_t pulled = 0;
-  while (Packet* p = q->Pull(0)) {
+  for (PacketBatch one; q->PullBatch(0, &one, 1) == 1; one.Clear()) {
     pulled++;
-    pool.Free(p);
+    pool.Free(one[0]);
     // Advance far enough per dequeue that the drain spans several CoDel
     // intervals — the first drop only comes a full interval after the
     // sojourn first exceeds target.

@@ -6,6 +6,7 @@
 #include "click/elements/misc.hpp"
 #include "click/elements/queue.hpp"
 #include "click/elements/to_device.hpp"
+#include "collect_sink.hpp"
 #include "packet/pool.hpp"
 #include "workload/synthetic.hpp"
 
@@ -29,7 +30,7 @@ TEST(RouterTest, ChainConnectsSequentially) {
   r.Chain({a, b, d});
   r.Initialize();
   PacketPool pool(1);
-  a->Push(0, pool.Alloc());
+  PushOne(a, pool.Alloc());
   EXPECT_EQ(b->counters().packets, 1u);
   EXPECT_EQ(d->count(), 1u);
   EXPECT_EQ(pool.available(), 1u);
@@ -76,6 +77,18 @@ TEST(RouterTest, RunTasksOnceReturnsZeroWhenIdle) {
   r.Connect(from, 0, d, 0);
   r.Initialize();
   EXPECT_EQ(r.RunTasksOnce(), 0u);
+}
+
+TEST(RouterDeathTest, PullPathThroughPushElementAborts) {
+  // The parser's pull-path rule, for a graph built in code.
+  NicConfig nc;
+  NicPort nic(nc);
+  Router r;
+  auto* q = r.Add<QueueElement>(64);
+  auto* paint = r.Add<Paint>(3);
+  auto* td = r.Add<ToDevice>(&nic, 0);
+  r.Chain({q, paint, td});
+  EXPECT_DEATH(r.Initialize(), "Paint@1.*does not pull its input");
 }
 
 TEST(RouterDeathTest, DoubleInitializeAborts) {

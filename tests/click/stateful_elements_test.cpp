@@ -7,6 +7,7 @@
 #include "click/elements/flow_policer.hpp"
 #include "click/elements/nat.hpp"
 #include "click/router.hpp"
+#include "collect_sink.hpp"
 #include "packet/checksum.hpp"
 #include "packet/headers.hpp"
 #include "packet/pool.hpp"
@@ -19,14 +20,6 @@ namespace {
 
 double g_fake_clock_s = 0;
 double FakeClock() { return g_fake_clock_s; }
-
-class BatchSink : public Element {
- public:
-  BatchSink() : Element(1, 0) {}
-  const char* class_name() const override { return "BatchSink"; }
-  void Push(int /*port*/, Packet* p) override { got.push_back(p); }
-  std::vector<Packet*> got;
-};
 
 Packet* Frame(PacketPool* pool, const FlowKey& key, uint32_t size = 64) {
   FrameSpec spec;
@@ -82,8 +75,8 @@ TEST_F(StatefulElementsTest, NatRewritesOutboundAndKeepsChecksumsValid) {
   NatOptions opt;
   opt.capacity = 64;
   auto* nat = r.Add<Nat>(opt);
-  auto* out = r.Add<BatchSink>();
-  auto* in = r.Add<BatchSink>();
+  auto* out = r.Add<CollectSink>();
+  auto* in = r.Add<CollectSink>();
   r.Connect(nat, 0, out, 0);
   r.Connect(nat, 1, in, 0);
   r.Initialize();
@@ -114,8 +107,8 @@ TEST_F(StatefulElementsTest, NatInboundReplyRoundTripsToInsideAddress) {
   NatOptions opt;
   opt.capacity = 64;
   auto* nat = r.Add<Nat>(opt);
-  auto* out = r.Add<BatchSink>();
-  auto* in = r.Add<BatchSink>();
+  auto* out = r.Add<CollectSink>();
+  auto* in = r.Add<CollectSink>();
   r.Connect(nat, 0, out, 0);
   r.Connect(nat, 1, in, 0);
   r.Initialize();
@@ -168,8 +161,8 @@ TEST_F(StatefulElementsTest, NatUdpChecksumThatComesOutZeroIsSentAsAllOnes) {
   auto rewritten = [&](bool inbound, uint16_t word) {
     Router r;
     auto* nat = r.Add<Nat>(opt);
-    auto* out = r.Add<BatchSink>();
-    auto* in = r.Add<BatchSink>();
+    auto* out = r.Add<CollectSink>();
+    auto* in = r.Add<CollectSink>();
     r.Connect(nat, 0, out, 0);
     r.Connect(nat, 1, in, 0);
     r.Initialize();
@@ -226,8 +219,8 @@ TEST_F(StatefulElementsTest, NatOverloadEvictsLruAndKeepsForwarding) {
   opt.hi_watermark = 0.5;
   opt.lo_watermark = 0.25;
   auto* nat = r.Add<Nat>(opt);
-  auto* out = r.Add<BatchSink>();
-  auto* in = r.Add<BatchSink>();
+  auto* out = r.Add<CollectSink>();
+  auto* in = r.Add<CollectSink>();
   r.Connect(nat, 0, out, 0);
   r.Connect(nat, 1, in, 0);
   r.Initialize();
@@ -263,8 +256,8 @@ TEST_F(StatefulElementsTest, NatFullTableWithEvictionDisabledDropsIntoBucket) {
   opt.lo_watermark = 0.5;
   opt.evict_on_full = false;
   auto* nat = r.Add<Nat>(opt);
-  auto* out = r.Add<BatchSink>();
-  auto* in = r.Add<BatchSink>();
+  auto* out = r.Add<CollectSink>();
+  auto* in = r.Add<CollectSink>();
   r.Connect(nat, 0, out, 0);
   r.Connect(nat, 1, in, 0);
   r.Initialize();
@@ -304,9 +297,9 @@ TEST_F(StatefulElementsTest, TableFullDropsAreTheTablesInsertFailures) {
   pol_opt.lo_watermark = 0.5;
   pol_opt.evict_on_full = false;
   auto* pol = r.Add<FlowPolicer>(pol_opt);
-  auto* nat_out = r.Add<BatchSink>();
-  auto* nat_in = r.Add<BatchSink>();
-  auto* pol_out = r.Add<BatchSink>();
+  auto* nat_out = r.Add<CollectSink>();
+  auto* nat_in = r.Add<CollectSink>();
+  auto* pol_out = r.Add<CollectSink>();
   r.Connect(nat, 0, nat_out, 0);
   r.Connect(nat, 1, nat_in, 0);
   r.Connect(pol, 0, pol_out, 0);
@@ -347,7 +340,7 @@ TEST_F(StatefulElementsTest, TableFullDropsAreTheTablesInsertFailures) {
   EXPECT_EQ(pol->drops(), pol_fail);
   EXPECT_EQ(pol_out->got.size() + pol_fail, kFlows);
 
-  for (BatchSink* sink : {nat_out, pol_out}) {
+  for (CollectSink* sink : {nat_out, pol_out}) {
     for (Packet* p : sink->got) {
       pool_.Free(p);
     }
@@ -360,7 +353,7 @@ TEST_F(StatefulElementsTest, PolicerEnforcesPerFlowTokenBucket) {
   opt.rate_pps = 1000;
   opt.burst = 4;
   auto* pol = r.Add<FlowPolicer>(opt);
-  auto* out = r.Add<BatchSink>();
+  auto* out = r.Add<CollectSink>();
   r.Connect(pol, 0, out, 0);
   r.Initialize();
   pol->set_clock(&FakeClock);
@@ -401,8 +394,8 @@ TEST_F(StatefulElementsTest, FirewallAllowsEstablishedOnly) {
   FlowPolicerOptions opt;
   opt.mode = PolicerMode::kFirewall;
   auto* fw = r.Add<FlowPolicer>(opt);
-  auto* inside_out = r.Add<BatchSink>();
-  auto* outside_in = r.Add<BatchSink>();
+  auto* inside_out = r.Add<CollectSink>();
+  auto* outside_in = r.Add<CollectSink>();
   r.Connect(fw, 0, inside_out, 0);
   r.Connect(fw, 1, outside_in, 0);
   r.Initialize();
