@@ -1,16 +1,19 @@
 // google-benchmark microbenchmarks for the data-plane primitives: LPM
 // lookup (DIR-24-8 vs the reference trie), AES-128/CBC (portable, AES-NI
-// and multi-stream), the Internet
-// checksum, flow hashing, SPSC vs locked rings, and ESP encapsulation.
+// and multi-stream), the Internet checksum, flow hashing, the flow table
+// (one key at a time and a burst at a time), SPSC vs locked rings, and
+// ESP encapsulation.
 //
 // These measure this host's wall clock and make no claim of matching the
 // paper's testbed; they document the relative costs (e.g. D-lookup vs
 // trie, AES per byte) that the calibrated model encodes.
 #include <benchmark/benchmark.h>
 
+#include "click/elements/nat.hpp"
 #include "crypto/aes128.hpp"
 #include "crypto/cbc.hpp"
 #include "crypto/esp.hpp"
+#include "flow/flow_table.hpp"
 #include "lookup/dir24_8.hpp"
 #include "lookup/radix_trie.hpp"
 #include "lookup/table_gen.hpp"
@@ -20,6 +23,7 @@
 #include "packet/batch.hpp"
 #include "packet/pool.hpp"
 #include "workload/abilene.hpp"
+#include "workload/flows.hpp"
 #include "workload/injector.hpp"
 #include "workload/synthetic.hpp"
 
@@ -153,6 +157,65 @@ void BM_FlowHash(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FlowHash);
+
+// A table shaped like a Nat's (32768 slots, the Nat's shards, window and
+// watermarks, as perfbench's rtr_nat_64 sizes it) under a Zipf(1.1)
+// churn stream of 64K flows, ticking once per 512 keys.
+rb::FlowTableConfig NatSizedTable() {
+  const rb::NatOptions nat;
+  rb::FlowTableConfig tc;
+  tc.capacity = 32768;
+  tc.shards = nat.shards;
+  tc.max_probe_buckets = nat.max_probe_buckets;
+  tc.hi_watermark = nat.hi_watermark;
+  tc.lo_watermark = nat.lo_watermark;
+  tc.idle_timeout = nat.idle_timeout_ms;
+  tc.evict_on_full = nat.evict_on_full;
+  return tc;
+}
+
+const std::vector<rb::FlowKey>& ChurnKeys() {
+  static const std::vector<rb::FlowKey> keys = [] {
+    rb::FlowChurnConfig cc;
+    cc.target_flows = 1 << 16;
+    cc.zipf_s = 1.1;
+    cc.churn_per_packet = 1e-3;
+    rb::FlowChurnGenerator gen(cc);
+    std::vector<rb::FlowKey> out(1 << 20);
+    for (rb::FlowKey& k : out) {
+      k = gen.Next().key;
+    }
+    return out;
+  }();
+  return keys;
+}
+
+void BM_FlowTableFindOrInsert(benchmark::State& state) {
+  rb::FlowTable table(NatSizedTable());
+  const std::vector<rb::FlowKey>& keys = ChurnKeys();
+  uint64_t n = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        table.FindOrInsert(keys[n & (keys.size() - 1)], static_cast<uint32_t>(n >> 9)));
+    n++;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_FlowTableFindOrInsert);
+
+void BM_FlowTableFindOrInsertBatch(benchmark::State& state) {
+  constexpr uint32_t kBurst = 32;  // perfbench's poll burst
+  rb::FlowTable table(NatSizedTable());
+  const std::vector<rb::FlowKey>& keys = ChurnKeys();
+  uint64_t n = 0;
+  for (auto _ : state) {
+    table.FindOrInsertBatch(&keys[n & (keys.size() - 1)], kBurst, static_cast<uint32_t>(n >> 9),
+                            [](uint32_t, rb::FlowEntry* e, bool) { benchmark::DoNotOptimize(e); });
+    n += kBurst;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kBurst);
+}
+BENCHMARK(BM_FlowTableFindOrInsertBatch);
 
 void BM_SpscRing(benchmark::State& state) {
   rb::SpscRing<uint64_t> ring(1024);

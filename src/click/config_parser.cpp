@@ -1,5 +1,6 @@
 #include "click/config_parser.hpp"
 
+#include <algorithm>
 #include <cctype>
 
 #include "click/elements/check_ip_header.hpp"
@@ -485,6 +486,21 @@ struct Endpoint {
   int out_port = 0;
 };
 
+// Reads the text inside a [n] port selector: decimal digits, with spaces
+// allowed around them. A sign, a letter or an empty selector is refused.
+bool ParsePortSelector(Builder* b, const std::string& text, int* port) {
+  const std::string digits = Trim(text);
+  const bool ok = !digits.empty() && digits.size() <= 9 &&
+                  std::all_of(digits.begin(), digits.end(),
+                              [](char c) { return c >= '0' && c <= '9'; });
+  if (!ok) {
+    return b->Fail(
+        Format("bad port selector '[%s]': expected decimal digits", text.c_str()));
+  }
+  *port = std::stoi(digits);
+  return true;
+}
+
 // Parses "name", "Class(args)", "[2] name", "name [1]", "[0] name [1]".
 bool ParseEndpoint(Builder* b, std::map<std::string, Element*>* named, const std::string& raw,
                    Endpoint* out) {
@@ -497,7 +513,9 @@ bool ParseEndpoint(Builder* b, std::map<std::string, Element*>* named, const std
     if (close == std::string::npos) {
       return b->Fail("unterminated [port] selector");
     }
-    out->in_port = atoi(s.substr(1, close - 1).c_str());
+    if (!ParsePortSelector(b, s.substr(1, close - 1), &out->in_port)) {
+      return false;
+    }
     s = Trim(s.substr(close + 1));
   }
   // Trailing [n] = output port.
@@ -506,7 +524,9 @@ bool ParseEndpoint(Builder* b, std::map<std::string, Element*>* named, const std
     if (open == std::string::npos) {
       return b->Fail("unterminated [port] selector");
     }
-    out->out_port = atoi(s.substr(open + 1, s.size() - open - 2).c_str());
+    if (!ParsePortSelector(b, s.substr(open + 1, s.size() - open - 2), &out->out_port)) {
+      return false;
+    }
     s = Trim(s.substr(0, open));
   }
   if (s.empty()) {

@@ -91,23 +91,29 @@ void Nat::PushOutbound(PacketBatch& batch, uint32_t tick) {
   PacketBatch ok;
   PacketBatch full;
   PacketBatch runts;
+  uint32_t m = 0;
   const uint32_t n = batch.size();
   for (uint32_t i = 0; i < n; ++i) {
     if (i + 1 < n) {
       PrefetchPacketHeaders(batch[i + 1]);
     }
     Packet* p = batch[i];
-    FlowKey key;
-    if (!ExtractFlowKey(*p, &key)) {
+    if (!ExtractFlowKey(*p, &keys_[m])) {
       runts.PushBack(p);
       continue;
     }
-    bool inserted = false;
-    FlowEntry* e = table_.FindOrInsert(key, tick, &inserted);
+    keyed_[m++] = p;
+  }
+  // The table resolves the keys in packet order and hands each one here
+  // before the next, so a new flow's port comes off the free list before
+  // a later key of the burst can evict anything.
+  table_.FindOrInsertBatch(keys_.data(), m, tick, [&](uint32_t i, FlowEntry* e, bool inserted) {
+    Packet* p = keyed_[i];
     if (e == nullptr) {
       full.PushBack(p);
-      continue;
+      return;
     }
+    const FlowKey& key = keys_[i];
     if (inserted) {
       // Table sizing guarantees a free port here (one port per slot and
       // every eviction frees its port before the slot is reused).
@@ -127,7 +133,7 @@ void Nat::PushOutbound(PacketBatch& batch, uint32_t tick) {
     PatchL4(ip.base + ip.header_length(), key.protocol,
             old_ip, opt_.external_ip, key.src_port, new_port, /*port_offset=*/0);
     ok.PushBack(p);
-  }
+  });
   batch.Clear();
   DropBatch(full);  // the table counted each refused insert (insert_fail)
   if (!runts.empty()) {

@@ -23,6 +23,7 @@
 #ifndef RB_CLICK_ELEMENTS_NAT_HPP_
 #define RB_CLICK_ELEMENTS_NAT_HPP_
 
+#include <array>
 #include <vector>
 
 #include "click/element.hpp"
@@ -90,6 +91,9 @@ class Nat : public Element {
   FlowTable table_;
   std::vector<ReverseEntry> reverse_;   // mapping index -> inside addr
   std::vector<uint32_t> free_list_;     // available mapping indices
+  // PushOutbound's burst: the keys it hands the table, and their packets.
+  std::array<FlowKey, PacketBatch::kCapacity> keys_;
+  std::array<Packet*, PacketBatch::kCapacity> keyed_{};
   ClockFn clock_;
   uint32_t batches_ = 0;  // housekeeping cadence
   std::atomic<uint64_t> no_mapping_{0};

@@ -7,12 +7,21 @@
 // contract:
 //
 //  - Open addressing over cache-line buckets: entries are exactly 32
-//    bytes, two per 64-byte bucket, so one probe touches one cache line
-//    and a full probe window of B buckets touches exactly B lines.
+//    bytes, two per 64-byte bucket.
+//  - Tags filter, keys decide: beside its entries each shard keeps a
+//    16-bit tag per slot (0 = empty, else 16 hash bits the shard and
+//    bucket do not use) and a 32-bit tick per slot (its last_seen). A
+//    probe compares its window's 16 tags with two SSE2 compares, reads
+//    a full key only on a tag match, and takes its idle and LRU
+//    decisions from the ticks, so a miss reads the window's tag and
+//    tick lines and the one entry it replaces, not all eight entry
+//    lines. The decisions are exactly those of a walk over the window's
+//    entries in slot order (tests/flow/reference_flow_table.hpp keeps
+//    that walk as the differential reference).
 //  - Bounded probe window: lookup/insert scans at most
-//    `max_probe_buckets` consecutive buckets. There is no fallback scan
-//    and no incremental resize — worst-case probe cost is a compile-time
-//    style constant, which is what bounds p99 under million-flow churn.
+//    `max_probe_buckets` (1-8) consecutive buckets. There is no fallback
+//    scan and no incremental resize — worst-case probe cost is a
+//    constant, which is what bounds p99 under million-flow churn.
 //  - Graceful degradation instead of failure: when the window has no
 //    free slot, or occupancy has crossed the high watermark, the
 //    window's least-recently-seen entry is evicted (callback first, so
@@ -33,6 +42,9 @@
 // *shared-state* baseline of the ablation serializes cross-thread
 // access per shard via FindOrInsertLocked — a spinlock per shard, the
 // "one big table everyone locks" design the SCR paper argues against.
+// Either way a shard has one writer at a time, so its counters and its
+// probe-length histogram are written with a relaxed load and store
+// rather than a locked read-modify-write; any thread may read them.
 //
 // Ticks: the table does not own a clock. Callers stamp `now` in any
 // monotonically-increasing 32-bit unit (milliseconds in the elements,
@@ -41,6 +53,8 @@
 #ifndef RB_FLOW_FLOW_TABLE_HPP_
 #define RB_FLOW_FLOW_TABLE_HPP_
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -57,12 +71,13 @@ class HandlerRegistry;
 class MetricRegistry;
 }  // namespace telemetry
 
-// One flow's state: the full 5-tuple key (open addressing stores keys,
-// not signatures — a false-positive NAT hit would cross-wire flows), a
-// last-seen tick for LRU/idle decisions, and two opaque state words the
-// owning NF interprets (Nat: mapping word + reverse index; FlowPolicer:
-// token bucket + refill tick). Exactly 32 bytes so two entries share a
-// cache line.
+// One flow's state: the full 5-tuple key (tags only filter; the full key
+// decides every hit, since a false-positive NAT hit would cross-wire
+// flows), a last-seen tick (kept equal to the shard's tick array, which
+// the LRU/idle decisions read), and two opaque state words the owning NF
+// interprets (Nat: mapping word + reverse index; FlowPolicer: token
+// bucket + refill tick). Exactly 32 bytes so two entries share a cache
+// line.
 struct FlowEntry {
   static constexpr uint8_t kOccupied = 1u << 0;
   static constexpr uint8_t kEstablished = 1u << 1;
@@ -94,7 +109,7 @@ struct FlowTableConfig {
   // a million-flow working set at comfortable load factor.
   size_t capacity = size_t{1} << 21;
   int shards = 8;              // power of two
-  int max_probe_buckets = 8;   // probe window, in 2-entry buckets
+  int max_probe_buckets = 8;   // probe window, in 2-entry buckets (1-8)
   double hi_watermark = 0.85;  // occupancy fraction: LRU replacement above this
   double lo_watermark = 0.70;  // occupancy fraction: SweepIdle target
   uint32_t idle_timeout = 0;   // ticks; 0 disables idle reclamation
@@ -132,6 +147,16 @@ class FlowTable {
   // disabled. `inserted` (optional) reports which path was taken.
   FlowEntry* FindOrInsert(const FlowKey& key, uint32_t now, bool* inserted = nullptr);
 
+  // FindOrInsert over keys[0, n), a burst at a time: every key's hash
+  // and tag/tick lines first, then each key's likely entry line (its tag
+  // match, else the slot it would take), then the keys strictly in order,
+  // calling visit(i, entry, inserted) after key i and before key i+1.
+  // Decisions, counts and eviction callbacks are those of n FindOrInsert
+  // calls, so `visit` may act on the table's owner (Nat allocates the
+  // new flow's port there) and a key repeated in one burst hits.
+  template <typename Visit>
+  void FindOrInsertBatch(const FlowKey* keys, uint32_t n, uint32_t now, Visit&& visit);
+
   // Lookup without insertion; touches last_seen on hit. Idle entries
   // are reclaimed on sight (an idle flow is not findable).
   FlowEntry* Find(const FlowKey& key, uint32_t now);
@@ -155,7 +180,6 @@ class FlowTable {
   void ClearShard(int shard);
 
   // --- SCR support ---
-  int ShardOf(const FlowKey& key) const;
   size_t ShardOccupancy(int shard) const;
   // Visits every occupied entry in `shard` (checkpoint snapshots).
   void ForEachInShard(int shard, const std::function<void(const FlowEntry&)>& fn) const;
@@ -179,6 +203,9 @@ class FlowTable {
   bool SetWatermarks(double hi, double lo);
 
   FlowTableStats stats() const;
+  // Probe lengths of every hit and insert so far, all shards summed:
+  // [b-1] counts probes that ended in the b'th bucket of the window.
+  std::vector<uint64_t> ProbeLengthHistogram() const;
   // Probe length (in buckets, 1-based) at the given percentile over all
   // FindOrInsert/Find probes so far; 0 when nothing was probed.
   int ProbeLengthPercentile(double p) const;
@@ -199,16 +226,27 @@ class FlowTable {
                      const std::string& name);
 
  private:
+  static constexpr int kMaxWindowBuckets = 8;
+  // Slots in the widest window, and the mirror past each side array's end.
+  static constexpr size_t kWindowSlots = 2 * kMaxWindowBuckets;
+  static constexpr uint32_t kBatchChunk = 32;
+
   struct alignas(64) Bucket {
     FlowEntry slot[2];
   };
 
   struct Shard {
     std::vector<Bucket> buckets;
+    // Per slot: tags[s] is 0 when empty, else TagOf(hash) of its key;
+    // ticks[s] equals its entry's last_seen while occupied. With n slots
+    // per shard, lane n + j (j < kWindowSlots) mirrors slot j % n, so a
+    // window starting at any slot reads its lanes without wrapping.
+    std::vector<uint16_t> tags;
+    std::vector<uint32_t> ticks;
     std::atomic_flag lock;  // value-initialized clear (C++20)
-    std::atomic<uint64_t> occupancy{0};
     size_t sweep_cursor = 0;
-    // Single-writer in partitioned mode, control-thread read: relaxed.
+    // One writer at a time (see Sharding above): relaxed load and store.
+    std::atomic<uint64_t> occupancy{0};
     std::atomic<uint64_t> hits{0};
     std::atomic<uint64_t> inserts{0};
     std::atomic<uint64_t> evict_idle{0};
@@ -217,12 +255,33 @@ class FlowTable {
     std::atomic<uint64_t> insert_fail{0};
     std::atomic<uint64_t> erases{0};
     std::atomic<uint64_t> replays{0};
+    // probe_hist[b-1] counts probes that ended in the b'th bucket of the
+    // window.
+    std::array<std::atomic<uint64_t>, kMaxWindowBuckets> probe_hist{};
   };
 
   FlowEntry* FindOrInsertIn(Shard& shard, const FlowKey& key, uint64_t hash, uint32_t now,
                             bool* inserted);
-  bool IdleExpired(const FlowEntry& e, uint32_t now) const;
-  void EvictSlot(Shard& shard, FlowEntry* e, std::atomic<uint64_t> Shard::* bucket_counter);
+  // The first lane (0-15) of `match`, the window's tag matches, whose
+  // entry holds `key`; -1 when none does.
+  int MatchLane(Shard& s, const FlowKey& key, size_t start, uint32_t match);
+  // MatchLane, plus the idle reclamation a walk of the window in slot
+  // order does before it reaches the match (the whole window on a
+  // miss). `live` gets the lanes still occupied afterwards.
+  int Probe(Shard& s, const FlowKey& key, uint64_t hash, size_t start, uint32_t now,
+            uint32_t* live);
+  // Passes 1 and 2 of FindOrInsertBatch: hashes keys[0, n) into `hashes`
+  // and prefetches the lines pass 3 will read.
+  void PrefetchChunk(const FlowKey* keys, uint32_t n, uint64_t* hashes);
+  bool IdleExpired(uint32_t tick, uint32_t now) const;
+  void EvictSlot(Shard& shard, size_t slot, std::atomic<uint64_t> Shard::* counter);
+  void ClearSlot(Shard& shard, size_t slot);
+  // Stamps the entry at `lane` of the window and counts the hit.
+  FlowEntry* Hit(Shard& shard, size_t start, int lane, uint32_t now);
+  FlowEntry& Entry(Shard& s, size_t slot) const {
+    slot &= slot_mask_;
+    return s.buckets[slot >> 1].slot[slot & 1];
+  }
   Shard& ShardFor(uint64_t hash) { return *shards_[ShardIndex(hash)]; }
   size_t ShardIndex(uint64_t hash) const { return (hash >> 48) & shard_mask_; }
   size_t BucketIndex(uint64_t hash) const { return hash & bucket_mask_; }
@@ -231,8 +290,9 @@ class FlowTable {
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t shard_mask_ = 0;
   size_t bucket_mask_ = 0;
-  size_t buckets_per_shard_ = 0;
   size_t slots_per_shard_ = 0;
+  size_t slot_mask_ = 0;
+  uint32_t window_mask_ = 0;  // one bit per lane of the probe window
   std::atomic<double> hi_watermark_{0};
   std::atomic<double> lo_watermark_{0};
   std::atomic<uint32_t> idle_timeout_{0};
@@ -240,10 +300,23 @@ class FlowTable {
   // compares integers, not fractions). Rewritten by SetWatermarks.
   std::atomic<uint64_t> hi_slots_per_shard_{0};
   EvictFn on_evict_;
-  // Probe-length histogram: probe_hist_[b-1] counts probes that ended
-  // in the b'th bucket of the window.
-  std::vector<std::atomic<uint64_t>> probe_hist_;
 };
+
+template <typename Visit>
+void FlowTable::FindOrInsertBatch(const FlowKey* keys, uint32_t n, uint32_t now,
+                                  Visit&& visit) {
+  uint64_t hashes[kBatchChunk];
+  for (uint32_t base = 0; base < n; base += kBatchChunk) {
+    const uint32_t m = std::min(kBatchChunk, n - base);
+    PrefetchChunk(keys + base, m, hashes);
+    for (uint32_t j = 0; j < m; ++j) {
+      bool inserted = false;
+      FlowEntry* e =
+          FindOrInsertIn(ShardFor(hashes[j]), keys[base + j], hashes[j], now, &inserted);
+      visit(base + j, e, inserted);
+    }
+  }
+}
 
 }  // namespace rb
 

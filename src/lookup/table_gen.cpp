@@ -1,10 +1,42 @@
 #include "lookup/table_gen.hpp"
 
-#include <unordered_set>
+#include <bit>
 
 #include "common/log.hpp"
 
 namespace rb {
+namespace {
+
+// Open-addressed set of route keys ((prefix << 8) | length), sized once
+// for `n` keys at a load factor of at most one half. No key is kEmpty:
+// a prefix length is at most 32.
+class RouteKeySet {
+ public:
+  explicit RouteKeySet(size_t n)
+      : shift_(64 - std::countr_zero(std::bit_ceil(2 * n + 2))),
+        slots_(size_t{1} << (64 - shift_), kEmpty) {}
+
+  // Adds `key`; false when it was already present.
+  bool Insert(uint64_t key) {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = (key * 0x9e3779b97f4a7c15ULL) >> shift_;; i = (i + 1) & mask) {
+      if (slots_[i] == key) {
+        return false;
+      }
+      if (slots_[i] == kEmpty) {
+        slots_[i] = key;
+        return true;
+      }
+    }
+  }
+
+ private:
+  static constexpr uint64_t kEmpty = ~uint64_t{0};
+  int shift_;
+  std::vector<uint64_t> slots_;
+};
+
+}  // namespace
 
 std::vector<std::pair<uint8_t, double>> DefaultPrefixLengthWeights() {
   // Approximate RouteViews global-table shares, late-2008 vintage.
@@ -29,8 +61,7 @@ std::vector<RouteEntry> GenerateRoutingTable(const TableGenConfig& config) {
 
   std::vector<RouteEntry> routes;
   routes.reserve(config.num_routes);
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(config.num_routes * 2);
+  RouteKeySet seen(config.num_routes);
 
   while (routes.size() < config.num_routes) {
     uint8_t length = weight_pairs[rng.NextWeighted(weights)].first;
@@ -41,7 +72,7 @@ std::vector<RouteEntry> GenerateRoutingTable(const TableGenConfig& config) {
       continue;
     }
     uint64_t key = (static_cast<uint64_t>(prefix) << 8) | length;
-    if (!seen.insert(key).second) {
+    if (!seen.Insert(key)) {
       continue;
     }
     RouteEntry r;

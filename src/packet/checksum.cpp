@@ -1,53 +1,30 @@
 #include "packet/checksum.hpp"
 
+#include <bit>
+
 namespace rb {
 
 uint32_t ChecksumPartial(const uint8_t* data, size_t len, uint32_t sum) {
+  uint64_t acc = 0;
   size_t i = 0;
-  for (; i + 1 < len; i += 2) {
-    sum += (static_cast<uint32_t>(data[i]) << 8) | data[i + 1];
+  for (; i + 4 <= len; i += 4) {
+    uint32_t w;
+    std::memcpy(&w, data + i, sizeof(w));
+    acc += w;
   }
+  if (i + 2 <= len) {
+    uint16_t h;
+    std::memcpy(&h, data + i, sizeof(h));
+    acc += h;
+    i += 2;
+  }
+  const bool little = std::endian::native == std::endian::little;
   if (i < len) {
-    sum += static_cast<uint32_t>(data[i]) << 8;
+    // The odd byte is the high byte of its big-endian pair.
+    acc += little ? data[i] : static_cast<uint32_t>(data[i]) << 8;
   }
-  return sum;
-}
-
-uint16_t ChecksumFinish(uint32_t sum) {
-  while (sum >> 16) {
-    sum = (sum & 0xffff) + (sum >> 16);
-  }
-  return static_cast<uint16_t>(~sum);
-}
-
-uint16_t Checksum(const uint8_t* data, size_t len) {
-  return ChecksumFinish(ChecksumPartial(data, len));
-}
-
-uint16_t ChecksumUpdate16(uint16_t old_checksum, uint16_t old_field, uint16_t new_field) {
-  // RFC 1624: HC' = ~(~HC + ~m + m'), computed in one's complement.
-  uint32_t sum = static_cast<uint16_t>(~old_checksum);
-  sum += static_cast<uint16_t>(~old_field);
-  sum += new_field;
-  while (sum >> 16) {
-    sum = (sum & 0xffff) + (sum >> 16);
-  }
-  return static_cast<uint16_t>(~sum);
-}
-
-uint16_t ChecksumUpdate32(uint16_t old_checksum, uint32_t old_field, uint32_t new_field) {
-  // Same RFC 1624 arithmetic with both halves of the 32-bit field summed
-  // before the fold; one's-complement addition is associative under
-  // folding, so this matches the two-step 16-bit chain exactly.
-  uint32_t sum = static_cast<uint16_t>(~old_checksum);
-  sum += static_cast<uint16_t>(~(old_field >> 16));
-  sum += static_cast<uint16_t>(new_field >> 16);
-  sum += static_cast<uint16_t>(~old_field);
-  sum += static_cast<uint16_t>(new_field);
-  while (sum >> 16) {
-    sum = (sum & 0xffff) + (sum >> 16);
-  }
-  return static_cast<uint16_t>(~sum);
+  const uint16_t folded = ChecksumFold(acc);
+  return sum + (little ? static_cast<uint16_t>((folded << 8) | (folded >> 8)) : folded);
 }
 
 }  // namespace rb

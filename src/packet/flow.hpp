@@ -24,7 +24,20 @@ struct FlowKey {
 };
 
 // 64-bit mix of the 5-tuple (SplitMix-style finalizer). Stable across runs.
-uint64_t FlowHash64(const FlowKey& key);
+inline uint64_t FlowHash64(const FlowKey& key) {
+  uint64_t x = (static_cast<uint64_t>(key.src_ip) << 32) | key.dst_ip;
+  uint64_t y = (static_cast<uint64_t>(key.src_port) << 24) |
+               (static_cast<uint64_t>(key.dst_port) << 8) | key.protocol;
+  // Two rounds of the splitmix64 finalizer over the combined words.
+  uint64_t z = x ^ (y * 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  z ^= z >> 31;
+  z += y;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 // 32-bit variant for the Packet::flow_hash annotation.
 inline uint32_t FlowHash32(const FlowKey& key) {

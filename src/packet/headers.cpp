@@ -55,10 +55,6 @@ void Ipv4View::UpdateChecksum() {
   set_checksum(Checksum(base, header_length()));
 }
 
-bool Ipv4View::ChecksumOk() const {
-  return Checksum(base, header_length()) == 0;
-}
-
 void Ipv4View::WriteDefault(uint8_t* base, uint32_t src, uint32_t dst, uint8_t protocol,
                             uint16_t total_length) {
   Ipv4View ip{base};

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <string>
 
+#include "packet/checksum.hpp"
+
 namespace rb {
 
 // --- byte order ---
@@ -99,8 +101,9 @@ struct Ipv4View {
 
   // Recomputes and stores the header checksum.
   void UpdateChecksum();
-  // True if the stored checksum matches the header contents.
-  bool ChecksumOk() const;
+  // True if the stored checksum matches the header contents: the
+  // header's ihl 32-bit words sum and fold to all ones.
+  bool ChecksumOk() const { return ChecksumWords32(base, ihl()) == 0xffff; }
 
   // Writes a fresh 20-byte header with sane defaults (version 4, ihl 5,
   // ttl 64) and the given addressing; checksum is computed.

@@ -236,6 +236,34 @@ TEST_F(ConfigParserTest, PortOutOfRangeReported) {
   EXPECT_FALSE(r.ok);
 }
 
+// A port selector holds decimal digits only, with spaces allowed around
+// them; anything else is refused by name instead of reading as port 0.
+TEST_F(ConfigParserTest, NonNumericPortSelectorsRefused) {
+  for (const char* selector : {"[x]", "[1x]", "[]", "[-1]"}) {
+    Router r;
+    const std::string out_side = std::string("t :: Tee(2); t ") + selector + " -> Discard;";
+    ConfigParseResult out = ParseClickConfig(out_side, &r, context_);
+    EXPECT_FALSE(out.ok) << out_side;
+    EXPECT_NE(out.error.find("bad port selector"), std::string::npos) << out.error;
+    Router r2;
+    const std::string in_side = std::string("c :: Counter; c -> ") + selector + " Discard;";
+    ConfigParseResult in = ParseClickConfig(in_side, &r2, context_);
+    EXPECT_FALSE(in.ok) << in_side;
+    EXPECT_NE(in.error.find("bad port selector"), std::string::npos) << in.error;
+  }
+}
+
+TEST_F(ConfigParserTest, SpacedPortSelectorAccepted) {
+  ConfigParseResult r = ParseClickConfig(
+      "t :: Tee(2); t [ 1 ] -> [ 0 ] Discard; t [0] -> Discard;", &router_, context_);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.connections, 2);
+  Router r2;
+  ConfigParseResult again = ParseClickConfig(
+      "u :: Tee(2); u [ 1 ] -> Discard; u [1] -> Discard;", &r2, context_);
+  EXPECT_FALSE(again.ok) << "[ 1 ] and [1] name the same port";
+}
+
 TEST_F(ConfigParserTest, DeviceIndexOutOfRangeReported) {
   ConfigParseResult r = ParseClickConfig("src :: FromDevice(9, 0);", &router_, context_);
   EXPECT_FALSE(r.ok);

@@ -212,6 +212,63 @@ TEST_F(StatefulElementsTest, NatUdpChecksumThatComesOutZeroIsSentAsAllOnes) {
   }
 }
 
+// A burst through a Nat gives every packet the port it gets one packet
+// at a time: the table resolves the burst in order and the Nat takes a
+// new flow's port inside the table's visit, so a new flow repeated in
+// the burst keeps its first packet's port, and evictions inside the
+// burst free and reuse ports in the same order.
+TEST_F(StatefulElementsTest, NatBurstAssignsPortsAsOnePacketAtATime) {
+  NatOptions opt;
+  opt.capacity = 16;  // 16 slots, 8 under the watermark: evictions mid-burst
+  opt.shards = 1;
+  opt.hi_watermark = 0.5;
+  opt.lo_watermark = 0.25;
+  std::vector<FlowKey> keys;
+  for (uint32_t j = 0; j < 60; ++j) {
+    const uint32_t flow = j % 5 == 4 ? (j - 1) * 7 % 20 : j * 7 % 20;  // repeats a fresh flow
+    keys.push_back(FlowKey{0x0a000000u + flow, 0x08080808, static_cast<uint16_t>(40000 + flow), 53,
+                           Ipv4View::kProtoUdp});
+  }
+  auto ports = [&](bool burst, uint64_t* evictions) {
+    Router r;
+    auto* nat = r.Add<Nat>(opt);
+    auto* out = r.Add<CollectSink>();
+    r.Connect(nat, 0, out, 0);
+    r.Connect(nat, 1, r.Add<CollectSink>(), 0);
+    r.Initialize();
+    nat->set_clock(&FakeClock);
+    PacketBatch batch;
+    for (const FlowKey& key : keys) {
+      batch.PushBack(Frame(&pool_, key));
+      if (!burst) {
+        nat->PushBatch(0, batch);
+      }
+    }
+    if (burst) {
+      nat->PushBatch(0, batch);
+    }
+    std::vector<uint16_t> got;
+    for (Packet* p : out->got) {
+      Ipv4View ip{p->data() + EthernetView::kSize};
+      got.push_back(UdpView{ip.base + ip.header_length()}.src_port());
+      pool_.Free(p);
+    }
+    *evictions = nat->table().stats().evictions();
+    EXPECT_EQ(nat->mappings_in_use(), nat->table().occupancy());
+    return got;
+  };
+  uint64_t burst_evictions = 0;
+  uint64_t single_evictions = 0;
+  const std::vector<uint16_t> burst = ports(true, &burst_evictions);
+  const std::vector<uint16_t> single = ports(false, &single_evictions);
+  ASSERT_EQ(burst.size(), keys.size());
+  EXPECT_EQ(burst, single);
+  EXPECT_EQ(burst_evictions, single_evictions);
+  EXPECT_GT(burst_evictions, 0u);
+  EXPECT_EQ(burst[4], burst[3]) << "a new flow repeated in one burst keeps its port";
+  EXPECT_EQ(pool_.available(), pool_.capacity());
+}
+
 TEST_F(StatefulElementsTest, NatOverloadEvictsLruAndKeepsForwarding) {
   Router r;
   NatOptions opt;

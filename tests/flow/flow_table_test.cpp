@@ -338,5 +338,54 @@ TEST(FlowTableTest, LockedVariantIsCoherentAcrossThreads) {
   EXPECT_EQ(total, static_cast<uint64_t>(kThreads) * 50 * kFlows);
 }
 
+// Four threads share keys through the per-shard lock, with more flows
+// than the table holds, so hits, inserts and watermark evictions all
+// race across shards. Each shard writes its counts and its own probe
+// histogram with a relaxed load and store under its lock; none may lose
+// a count (a table-wide histogram written that way would).
+TEST(FlowTableTest, ConcurrentLockedCountsAreExact) {
+  FlowTableConfig c;
+  c.capacity = 1 << 10;
+  c.shards = 4;
+  FlowTable t(c);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 20;
+  constexpr uint32_t kFlows = 1500;
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&t, w] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (uint32_t i = 0; i < kFlows; ++i) {
+          // Each thread walks the keys from its own offset.
+          const uint32_t k = (i + static_cast<uint32_t>(w) * 377u) % kFlows;
+          t.FindOrInsertLocked(Key(k), static_cast<uint32_t>(round), [](FlowEntry* e, bool) {
+            ASSERT_NE(e, nullptr);
+          });
+        }
+      }
+    });
+  }
+  for (auto& w : workers) {
+    w.join();
+  }
+  const uint64_t ops = static_cast<uint64_t>(kThreads) * kRounds * kFlows;
+  const FlowTableStats s = t.stats();
+  EXPECT_EQ(s.hits + s.inserts, ops);
+  EXPECT_GT(s.evictions(), 0u);
+  EXPECT_EQ(s.insert_fail, 0u);
+  uint64_t probes = 0;
+  for (uint64_t n : t.ProbeLengthHistogram()) {
+    probes += n;
+  }
+  EXPECT_EQ(probes, ops);
+  EXPECT_EQ(t.occupancy(), s.inserts - s.evictions());
+  size_t visited = 0;
+  for (int shard = 0; shard < t.shards(); ++shard) {
+    t.ForEachInShard(shard, [&visited](const FlowEntry&) { visited++; });
+  }
+  EXPECT_EQ(visited, t.occupancy());
+}
+
 }  // namespace
 }  // namespace rb

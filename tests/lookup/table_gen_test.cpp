@@ -89,6 +89,37 @@ TEST(TableGenTest, Slash24Dominates) {
   EXPECT_LT(longer / static_cast<double>(routes.size()), 0.05);
 }
 
+// FNV-1a over each route's prefix, length and next hop: a fingerprint of
+// the whole list, order included.
+uint64_t RouteListFnv1a(const std::vector<RouteEntry>& routes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint32_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const RouteEntry& r : routes) {
+    mix(r.prefix, 4);
+    mix(r.length, 1);
+    mix(r.next_hop, 4);
+  }
+  return h;
+}
+
+// The table perfbench's routers install (seed 42, 256K routes, one next
+// hop per port): the dedup may get faster, but the RNG stream and the
+// route list it yields must not change.
+TEST(TableGenTest, PerfbenchTableIsPinned) {
+  TableGenConfig cfg;
+  cfg.num_routes = 256 * 1024;
+  cfg.num_next_hops = 2;
+  cfg.seed = 42;
+  const std::vector<RouteEntry> routes = GenerateRoutingTable(cfg);
+  ASSERT_EQ(routes.size(), 262144u);
+  EXPECT_EQ(RouteListFnv1a(routes), 0xa7580e0839ca5892ULL);
+}
+
 TEST(TableGenTest, WeightsCoverDocumentedLengths) {
   auto weights = DefaultPrefixLengthWeights();
   EXPECT_EQ(weights.front().first, 8);

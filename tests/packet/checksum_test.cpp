@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
+#include "packet/headers.hpp"
 
 namespace rb {
 namespace {
@@ -125,6 +128,94 @@ TEST(ChecksumTest, Update32MatchesRecomputeOnAddressRewrite) {
     buf[11] = static_cast<uint8_t>(updated);
     EXPECT_EQ(Checksum(buf, sizeof(buf)), 0) << "trial " << trial;
   }
+}
+
+// The RFC 1071 definition the word-wise sums must reproduce: big-endian
+// byte pairs, a trailing odd byte as the high byte of a zero-padded pair.
+uint32_t BytePairPartial(const uint8_t* data, size_t len, uint32_t sum = 0) {
+  size_t i = 0;
+  for (; i + 1 < len; i += 2) {
+    sum += (static_cast<uint32_t>(data[i]) << 8) | data[i + 1];
+  }
+  if (i < len) {
+    sum += static_cast<uint32_t>(data[i]) << 8;
+  }
+  return sum;
+}
+
+uint16_t BytePairFinish(uint32_t sum) {
+  while (sum >> 16) {
+    sum = (sum & 0xffff) + (sum >> 16);
+  }
+  return static_cast<uint16_t>(~sum);
+}
+
+TEST(ChecksumDifferentialTest, EveryLengthAndStartMatchesBytePairs) {
+  Rng rng(6);
+  std::vector<uint8_t> random(1500 + 4);
+  for (auto& b : random) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  const std::vector<uint8_t> zeros(1500 + 4, 0x00);
+  const std::vector<uint8_t> ones(1500 + 4, 0xff);
+  int mismatches = 0;
+  const std::vector<uint8_t>* buffers[] = {&random, &zeros, &ones};
+  for (const std::vector<uint8_t>* buf : buffers) {
+    for (size_t start = 0; start < 4; ++start) {
+      const uint8_t* p = buf->data() + start;
+      for (size_t len = 0; len <= 1500; ++len) {
+        const uint32_t carry_in = static_cast<uint32_t>(rng.NextBounded(1u << 20));
+        const bool same =
+            Checksum(p, len) == BytePairFinish(BytePairPartial(p, len)) &&
+            ChecksumFinish(ChecksumPartial(p, len, carry_in)) ==
+                BytePairFinish(BytePairPartial(p, len, carry_in));
+        if (!same && mismatches++ == 0) {
+          ADD_FAILURE() << "first mismatch: start " << start << ", len " << len;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(ChecksumDifferentialTest, HeaderVerifyMatchesBytePairsForEveryIhl) {
+  Rng rng(7);
+  uint8_t storage[64 + 1];
+  uint8_t* base = storage + 1;  // an odd address
+  int checked = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    for (uint8_t ihl = 5; ihl <= 15; ++ihl) {
+      const size_t len = 4u * ihl;
+      for (size_t i = 0; i < len; ++i) {
+        base[i] = static_cast<uint8_t>(rng.Next());
+      }
+      base[0] = static_cast<uint8_t>(0x40 | ihl);
+      base[10] = base[11] = 0;
+      const uint16_t valid = BytePairFinish(BytePairPartial(base, len));
+      // When the rest sums to all ones the valid field is 0x0000, and
+      // 0xffff verifies too (both are one's-complement zero).
+      const uint16_t fields[] = {valid, static_cast<uint16_t>(valid ^ 1), 0x0000, 0xffff};
+      for (const uint16_t field : fields) {
+        StoreBe16(base + 10, field);
+        const bool want = BytePairFinish(BytePairPartial(base, len)) == 0;
+        EXPECT_EQ(Ipv4View{base}.ChecksumOk(), want)
+            << "ihl " << int{ihl} << ", field " << field;
+        checked++;
+      }
+      // A header whose valid checksum field is 0x0000: patch word 12-13
+      // so the other words sum to all ones.
+      base[10] = base[11] = 0;
+      StoreBe16(base + 12, 0);
+      const uint16_t rest = static_cast<uint16_t>(~BytePairFinish(BytePairPartial(base, len)));
+      StoreBe16(base + 12, static_cast<uint16_t>(0xffff - rest));
+      for (const uint16_t field : {uint16_t{0x0000}, uint16_t{0xffff}}) {
+        StoreBe16(base + 10, field);
+        EXPECT_EQ(BytePairFinish(BytePairPartial(base, len)), 0);
+        EXPECT_TRUE(Ipv4View{base}.ChecksumOk()) << "ihl " << int{ihl} << ", field " << field;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 200 * 11 * 4);
 }
 
 }  // namespace
