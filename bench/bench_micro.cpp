@@ -1,13 +1,17 @@
 // google-benchmark microbenchmarks for the data-plane primitives: LPM
 // lookup (DIR-24-8 vs the reference trie), AES-128/CBC (portable, AES-NI
 // and multi-stream), the Internet checksum, flow hashing, the flow table
-// (one key at a time and a burst at a time), SPSC vs locked rings, and
-// ESP encapsulation.
+// (one key at a time and a burst at a time), SPSC vs locked rings, ESP
+// encapsulation, and the router's two edges: NIC burst delivery and the
+// pool's bulk free.
 //
 // These measure this host's wall clock and make no claim of matching the
 // paper's testbed; they document the relative costs (e.g. D-lookup vs
 // trie, AES per byte) that the calibrated model encodes.
 #include <benchmark/benchmark.h>
+
+#include <chrono>
+#include <vector>
 
 #include "click/elements/nat.hpp"
 #include "crypto/aes128.hpp"
@@ -17,6 +21,7 @@
 #include "lookup/dir24_8.hpp"
 #include "lookup/radix_trie.hpp"
 #include "lookup/table_gen.hpp"
+#include "netdev/nic.hpp"
 #include "netdev/ring.hpp"
 #include "packet/checksum.hpp"
 #include "packet/flow.hpp"
@@ -320,6 +325,71 @@ void BM_PoolAllocBulkFree(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_PoolAllocBulkFree)->Arg(64)->Arg(256);
+
+void BM_PoolFreeBulk(benchmark::State& state) {
+  // One FreeBulk of 512 packets annotated on both metadata lines, as a
+  // drain returns them; freed in a fixed shuffled order, not the order
+  // they were carved in. Only the FreeBulk call is timed.
+  constexpr size_t kN = 512;
+  rb::PacketPool pool(kN);
+  rb::Packet* carved[kN];
+  rb::Packet* pkts[kN];
+  std::vector<size_t> order(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    order[i] = (i * 199) % kN;  // 199 is coprime to 512: a permutation
+  }
+  for (auto _ : state) {
+    RB_CHECK(pool.AllocBulk(carved, kN) == kN);
+    for (size_t i = 0; i < kN; ++i) {
+      pkts[i] = carved[order[i]];
+      pkts[i]->SetLength(64);
+      pkts[i]->set_flow_seq(i);
+      pkts[i]->set_ingress_cycles(i);
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    pool.FreeBulk(pkts, kN);
+    benchmark::DoNotOptimize(pkts);
+    benchmark::ClobberMemory();
+    const auto t1 = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * static_cast<int64_t>(kN));
+}
+BENCHMARK(BM_PoolFreeBulk)->UseManualTime();
+
+void BM_NicDeliverBatch(benchmark::State& state) {
+  // NicPort::DeliverBatch of 256-frame bursts shaped like perfbench's
+  // fwd_64 (64 B UDP frames from 4096 flows) into 1 or 4 rx queues with
+  // kn 16. Each iteration also commits the staged remainder and polls
+  // every frame back, so the same 256 frames circulate.
+  constexpr uint32_t kBurst = 256;
+  rb::NicConfig cfg;
+  cfg.num_rx_queues = static_cast<uint16_t>(state.range(0));
+  cfg.kn = 16;
+  cfg.ring_entries = 512;
+  rb::NicPort nic(cfg);
+  rb::PacketPool pool(kBurst);
+  rb::PacketBatch batch;
+  for (uint32_t i = 0; i < kBurst; ++i) {
+    rb::FrameSpec spec;
+    spec.size = 64;
+    spec.flow = {0x0a000000u + (i * 16) % 4096, 0xc0a80001u, static_cast<uint16_t>(1024 + i),
+                 80, 17};
+    batch.PushBack(rb::AllocFrame(spec, &pool));
+  }
+  for (auto _ : state) {
+    nic.DeliverBatch(&batch, 0.0);
+    nic.FlushAllStaged();
+    for (uint16_t q = 0; q < cfg.num_rx_queues; ++q) {
+      batch.CommitAppended(static_cast<uint32_t>(nic.PollRx(q, batch.tail(), batch.room())));
+    }
+    benchmark::DoNotOptimize(batch.size());
+  }
+  RB_CHECK(batch.size() == kBurst);
+  batch.ReleaseAll();
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kBurst);
+}
+BENCHMARK(BM_NicDeliverBatch)->Arg(1)->Arg(4);
 
 void BM_InjectorBurst(benchmark::State& state) {
   // Whole injection path per packet: bulk carve + template fill.

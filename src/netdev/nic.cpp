@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/log.hpp"
+#include "common/prefetch.hpp"
 #include "common/strings.hpp"
 #include "packet/pool.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -11,6 +12,10 @@
 namespace rb {
 
 namespace {
+
+// How many frames ahead the delivery pass prefetches the three lines it
+// touches per frame.
+constexpr uint32_t kDeliverPrefetchAhead = 8;
 
 // PCIe data DMA and wire bytes of a burst, read before the burst is
 // published: once on a ring, its frames may already be the consumer's.
@@ -53,7 +58,11 @@ NicPort::NicPort(const NicConfig& config)
   for (uint16_t q = 0; q < config.num_tx_queues; ++q) {
     tx_.rings.push_back(std::make_unique<SpscRing<Packet*>>(config.ring_entries));
   }
+  staged_slots_ = std::make_unique<Packet*[]>(size_t{config.num_rx_queues} * config.kn);
   staged_.resize(config.num_rx_queues);
+  for (uint16_t q = 0; q < config.num_rx_queues; ++q) {
+    staged_[q].slots = &staged_slots_[size_t{q} * config.kn];
+  }
 }
 
 void NicPort::BindTelemetry(telemetry::MetricRegistry* registry, const std::string& prefix) {
@@ -75,54 +84,51 @@ void NicPort::BindTelemetry(telemetry::MetricRegistry* registry, const std::stri
   }
 }
 
-void NicPort::Deliver(Packet* p, SimTime now) {
-  DeliverStamped(p, now,
-                 telemetry::IngressStampEnabled() ? telemetry::ReadCycles() : 0);
-}
-
-void NicPort::DeliverStamped(Packet* p, SimTime now, uint64_t ingress_cycles) {
-  p->set_arrival_time(now);
-  p->set_ingress_cycles(ingress_cycles);
-  uint16_t q = steering_.SelectRxQueue(p);
-  Staged& st = staged_[q];
-  if (st.pkts.empty()) {
-    st.oldest = now;
-  }
-  st.pkts.push_back(p);
-  if (st.pkts.size() >= config_.kn) {
-    CommitStaged(q);
-  } else if (config_.batch_timeout > 0 && now - st.oldest >= config_.batch_timeout) {
-    CommitStaged(q);
-  }
-}
-
 void NicPort::DeliverBatch(PacketBatch* batch, SimTime now) {
-  const uint32_t n = batch->size();
+  DeliverBurst(batch->begin(), batch->size(), now);
+  batch->Clear();
+}
+
+void NicPort::DeliverBurst(Packet* const* pkts, uint32_t n, SimTime now) {
   // One cycle read covers the whole burst: the frames of one wire batch
   // arrive back-to-back, so per-packet rdtsc would only measure the
   // stamping loop itself.
   const uint64_t ingress_cycles =
       telemetry::IngressStampEnabled() ? telemetry::ReadCycles() : 0;
+  const uint32_t kn = config_.kn;
+  const SimTime timeout = config_.batch_timeout;
   for (uint32_t i = 0; i < n; ++i) {
-    if (i + 1 < n) {
-      // Steering reads the flow-hash annotation of the next packet; its
-      // metadata line may have been evicted by this packet's DMA modeling.
-      PrefetchForRead((*batch)[i + 1]);
+    if (i + kDeliverPrefetchAhead < n) {
+      // The stamps below write both metadata lines and steering reads the
+      // header line; by delivery those lines may sit in L2 or beyond.
+      Packet* ahead = pkts[i + kDeliverPrefetchAhead];
+      PrefetchMetadataForWrite(ahead);
+      PrefetchForRead(ahead->default_data());
     }
-    DeliverStamped((*batch)[i], now, ingress_cycles);
+    Packet* p = pkts[i];
+    p->set_arrival_time(now);
+    p->set_ingress_cycles(ingress_cycles);
+    const uint16_t q = steering_.SelectRxQueue(p);
+    Staged& st = staged_[q];
+    if (st.count == 0) {
+      st.oldest = now;
+    }
+    st.slots[st.count++] = p;
+    if (st.count >= kn || (timeout > 0 && now - st.oldest >= timeout)) {
+      CommitStaged(q);
+    }
   }
-  batch->Clear();
 }
 
 void NicPort::CommitStaged(uint16_t q) {
   Staged& st = staged_[q];
-  const auto n = static_cast<uint32_t>(st.pkts.size());
+  const uint32_t n = st.count;
   if (n == 0) {
     return;
   }
   // One batched descriptor transfer for the whole group on top of every
   // frame's data DMA.
-  const RingBurst pushed = PushBurst(rx_, q, st.pkts.data(), n, PcieDescriptorTxns(n),
+  const RingBurst pushed = PushBurst(rx_, q, st.slots, n, PcieDescriptorTxns(n),
                                      uint64_t{n} * kDescriptorBytes);
   if (pushed.packets < n) {
     // NIC had no free rx descriptors — the event the paper's loss-free
@@ -130,7 +136,7 @@ void NicPort::CommitStaged(uint16_t q) {
     static const telemetry::ScopeId kNicScope = telemetry::InternScopeName("nic/rx");
     telemetry::FrRecord(telemetry::FrEvent::kRxOverflow, kNicScope, q, n - pushed.packets);
   }
-  st.pkts.clear();
+  st.count = 0;
 }
 
 void NicPort::FlushStaged(SimTime now) {
@@ -139,7 +145,7 @@ void NicPort::FlushStaged(SimTime now) {
   }
   for (uint16_t q = 0; q < config_.num_rx_queues; ++q) {
     Staged& st = staged_[q];
-    if (!st.pkts.empty() && now - st.oldest >= config_.batch_timeout) {
+    if (st.count > 0 && now - st.oldest >= config_.batch_timeout) {
       CommitStaged(q);
     }
   }

@@ -14,10 +14,10 @@
 // most 16 descriptors fit one transaction.
 //
 // The NIC does its own bookkeeping once per burst, as §4.2's batching
-// amortizes the driver's: a committed kn group and a Transmit burst each
-// reach their ring in one publish (SpscRing::TryPushBurst), and the PCIe
-// and port counters and the ring high-water gauges take one update per
-// burst.
+// amortizes the driver's: a delivered burst is stamped, steered and staged
+// in one pass, a committed kn group and a Transmit burst each reach their
+// ring in one publish (SpscRing::TryPushBurst), and the PCIe and port
+// counters and the ring high-water gauges take one update per burst.
 #ifndef RB_NETDEV_NIC_HPP_
 #define RB_NETDEV_NIC_HPP_
 
@@ -79,21 +79,21 @@ class NicPort {
 
   // --- receive side (called by the wire / traffic source) ---
 
-  // Delivers a frame arriving on the wire at simulated time `now`.
-  // Steers it to an rx queue and stages it for NIC-driven batching; a
-  // frame whose ring is full at commit time is dropped and counted in
-  // rx_counters().drops (as a NIC with no free descriptors would).
-  // Always takes ownership of `p`. Stamps the ingress cycle count
-  // (telemetry::ReadCycles) for the measured latency plane unless
-  // telemetry::SetIngressStampEnabled(false) has shed the stamp.
-  void Deliver(Packet* p, SimTime now);
-
-  // Batch variant: steers and stages every packet in `batch` (ownership
-  // transfers; the batch is left empty). Semantically identical to calling
-  // Deliver per packet — the same staging thresholds fire at the same
-  // points — but lets a bulk injector hand a whole burst across without
-  // re-entering the per-packet path.
+  // Delivers the frames of `batch`, arriving back to back on the wire at
+  // simulated time `now`, in one pass (ownership transfers; the batch is
+  // left empty). Each frame is stamped with `now` and with the ingress
+  // cycle count (telemetry::ReadCycles, read once per burst) for the
+  // measured latency plane, unless telemetry::SetIngressStampEnabled(false)
+  // has shed the stamp; it is steered to an rx queue and staged there for
+  // NIC-driven batching. A queue's kn-th staged frame, or a frame that
+  // finds the queue's oldest staged one batch_timeout old, commits the
+  // queue's group; a frame whose ring is full at commit time is dropped
+  // and counted in rx_counters().drops (as a NIC with no free descriptors
+  // would).
   void DeliverBatch(PacketBatch* batch, SimTime now);
+
+  // The one-frame case of DeliverBatch. Always takes ownership of `p`.
+  void Deliver(Packet* p, SimTime now) { DeliverBurst(&p, 1, now); }
 
   // Flushes any staged descriptors whose timeout expired (no-op when
   // batch_timeout == 0). Called periodically by the simulation loop.
@@ -148,8 +148,11 @@ class NicPort {
   uint64_t rx_queue_depth(uint16_t q) const { return rx_.rings[q]->size(); }
 
  private:
+  // One rx queue's staged frames: a fixed kn-slot window of
+  // staged_slots_.
   struct Staged {
-    std::vector<Packet*> pkts;
+    Packet** slots = nullptr;
+    uint32_t count = 0;
     SimTime oldest = 0;
   };
 
@@ -161,9 +164,8 @@ class NicPort {
     std::vector<telemetry::Gauge*> tele_ring_hw;  // per ring
   };
 
-  // Deliver with the ingress cycle stamp hoisted out (DeliverBatch reads
-  // the cycle counter once per burst, not once per frame).
-  void DeliverStamped(Packet* p, SimTime now, uint64_t ingress_cycles);
+  // The delivery pass behind Deliver and DeliverBatch.
+  void DeliverBurst(Packet* const* pkts, uint32_t n, SimTime now);
   void CommitStaged(uint16_t q);
   // Publishes `pkts[0, n)` to ring `q` of `dir` in one push and releases
   // the frames past its free room. Charges the bus every frame's data DMA
@@ -176,6 +178,7 @@ class NicPort {
   Steering steering_;
   Direction rx_;
   Direction tx_;
+  std::unique_ptr<Packet*[]> staged_slots_;  // kn per rx queue
   std::vector<Staged> staged_;
   PcieCounters pcie_;
   uint16_t tx_drain_rr_ = 0;

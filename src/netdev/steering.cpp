@@ -8,31 +8,15 @@ Steering::Steering(SteeringMode mode, uint16_t num_queues) : mode_(mode), num_qu
   RB_CHECK(num_queues >= 1);
 }
 
-uint16_t Steering::SelectRxQueue(Packet* p) {
-  // Stamp the RSS hash whenever the frame parses; hardware computes it for
-  // every received IPv4 frame regardless of the steering policy in use.
-  FlowKey key;
-  bool parsed = ExtractFlowKey(*p, &key);
-  if (parsed) {
-    p->set_flow_hash(FlowHash32(key));
-  }
-  switch (mode_) {
-    case SteeringMode::kSingleQueue:
-      return 0;
-    case SteeringMode::kRss:
-      return parsed ? static_cast<uint16_t>(p->flow_hash() % num_queues_) : 0;
-    case SteeringMode::kMacTable: {
-      if (p->length() >= EthernetView::kSize) {
-        EthernetView eth{p->data()};
-        auto it = mac_rules_.find(eth.dst());
-        if (it != mac_rules_.end()) {
-          return it->second;
-        }
-      }
-      return parsed ? static_cast<uint16_t>(p->flow_hash() % num_queues_) : 0;
+uint16_t Steering::SelectByMac(Packet* p, bool parsed) const {
+  if (p->length() >= EthernetView::kSize) {
+    EthernetView eth{p->data()};
+    auto it = mac_rules_.find(eth.dst());
+    if (it != mac_rules_.end()) {
+      return it->second;
     }
   }
-  return 0;
+  return parsed ? static_cast<uint16_t>(p->flow_hash() % num_queues_) : 0;
 }
 
 void Steering::AddMacRule(const MacAddress& mac, uint16_t queue) {

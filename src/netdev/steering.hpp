@@ -32,8 +32,24 @@ class Steering {
   Steering(SteeringMode mode, uint16_t num_queues);
 
   // Chooses the rx queue for a frame. Also stamps the packet's flow_hash
-  // annotation when the frame parses as IPv4 (like hardware RSS does).
-  uint16_t SelectRxQueue(Packet* p);
+  // annotation when the frame parses as IPv4: hardware computes the RSS
+  // hash for every received IPv4 frame, whatever the steering policy.
+  // Inline for RSS and a single queue, with no modulo when there is one
+  // queue; the MAC table is looked up out of line.
+  uint16_t SelectRxQueue(Packet* p) {
+    FlowKey key;
+    const bool parsed = ExtractFlowKey(*p, &key);
+    if (parsed) {
+      p->set_flow_hash(FlowHash32(key));
+    }
+    if (mode_ == SteeringMode::kMacTable) {
+      return SelectByMac(p, parsed);
+    }
+    if (!parsed || mode_ == SteeringMode::kSingleQueue || num_queues_ == 1) {
+      return 0;
+    }
+    return static_cast<uint16_t>(p->flow_hash() % num_queues_);
+  }
 
   // Installs dst-MAC -> queue (kMacTable mode).
   void AddMacRule(const MacAddress& mac, uint16_t queue);
@@ -52,6 +68,9 @@ class Steering {
       return static_cast<size_t>(v ^ (v >> 32));
     }
   };
+
+  // kMacTable: the rule for the frame's destination MAC, else RSS.
+  uint16_t SelectByMac(Packet* p, bool parsed) const;
 
   SteeringMode mode_;
   uint16_t num_queues_;

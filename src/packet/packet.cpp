@@ -41,20 +41,4 @@ void Packet::Trim(uint32_t n) {
   length_ -= n;
 }
 
-void Packet::ResetMetadata() {
-  length_ = 0;
-  offset_ = kDefaultHeadroom;
-  arrival_time_ = 0;
-  input_port_ = 0;
-  flow_hash_ = 0;
-  vlb_phase_ = VlbPhase::kNone;
-  output_node_ = kNoNode;
-  flow_id_ = 0;
-  flow_seq_ = 0;
-  paint_ = 0;
-  trace_handle_ = 0;
-  ingress_cycles_ = 0;
-  enqueue_time_ = 0;
-}
-
 }  // namespace rb

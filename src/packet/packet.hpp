@@ -124,7 +124,22 @@ class Packet {
   uint32_t wire_bytes() const { return length_; }
 
   // Clears annotations and resets headroom; called by the pool on release.
-  void ResetMetadata();
+  // Writes both metadata lines.
+  void ResetMetadata() {
+    length_ = 0;
+    offset_ = kDefaultHeadroom;
+    arrival_time_ = 0;
+    input_port_ = 0;
+    flow_hash_ = 0;
+    vlb_phase_ = VlbPhase::kNone;
+    output_node_ = kNoNode;
+    flow_id_ = 0;
+    flow_seq_ = 0;
+    paint_ = 0;
+    trace_handle_ = 0;
+    ingress_cycles_ = 0;
+    enqueue_time_ = 0;
+  }
 
   PacketPool* origin_pool() const { return origin_pool_; }
 
@@ -211,6 +226,14 @@ struct PacketLayoutCheck {
 inline void PrefetchPacketHeaders(const Packet* p) {
   PrefetchForRead(p);
   PrefetchForRead(p->default_data());
+}
+
+// Write-prefetches both metadata lines: the hot annotation line and the
+// cold line that holds the latency stamps (pinned by PacketLayoutCheck).
+// NIC delivery stamps both, and the pool's free resets both.
+inline void PrefetchMetadataForWrite(Packet* p) {
+  PrefetchForWrite(p);
+  PrefetchForWrite(reinterpret_cast<uint8_t*>(p) + kCacheLineBytes);
 }
 
 }  // namespace rb

@@ -5,73 +5,74 @@
 
 namespace rb {
 
+namespace {
+
+// How many packets ahead a bulk pass prefetches the metadata lines it
+// writes: far enough to cover an L2/L3 miss with the work on the packets
+// in between.
+constexpr size_t kPrefetchAhead = 8;
+
+}  // namespace
+
 PacketPool::PacketPool(size_t capacity)
-    : capacity_(capacity), storage_(std::make_unique<Packet[]>(capacity)) {
-  free_.reserve(capacity);
+    : capacity_(capacity),
+      storage_(std::make_unique<Packet[]>(capacity)),
+      free_(std::make_unique<Packet*[]>(capacity)),
+      free_count_(capacity) {
   for (size_t i = 0; i < capacity; ++i) {
     storage_[i].origin_pool_ = this;
     storage_[i].in_pool_ = true;
-    free_.push_back(&storage_[i]);
+    free_[i] = &storage_[i];
   }
 }
 
 PacketPool::~PacketPool() {
-  if (free_.size() != capacity_) {
+  if (free_count_ != capacity_) {
     RB_LOG_WARN("PacketPool destroyed with %zu packets still in use", in_use());
   }
 }
 
-Packet* PacketPool::Alloc() {
-  if (free_.empty()) {
-    alloc_failures_++;
-    return nullptr;
-  }
-  Packet* p = free_.back();
-  free_.pop_back();
-  p->in_pool_ = false;
-  return p;
-}
-
 size_t PacketPool::AllocBulk(Packet** out, size_t n) {
-  size_t got = n < free_.size() ? n : free_.size();
-  // Carve from the freelist tail in one splice instead of n pop_backs.
-  size_t base = free_.size() - got;
+  const size_t got = n < free_count_ ? n : free_count_;
+  // Carve from the freelist tail in one splice instead of n pops.
+  const size_t base = free_count_ - got;
   for (size_t i = 0; i < got; ++i) {
-    if (i + 4 < got) {
+    if (i + kPrefetchAhead < got) {
       // Clearing in_pool_ is the first touch of a long-evicted metadata
       // line; ask for ownership a few packets ahead of the store.
-      PrefetchForWrite(free_[base + i + 4]);
+      PrefetchForWrite(free_[base + i + kPrefetchAhead]);
     }
     Packet* p = free_[base + i];
     p->in_pool_ = false;
     out[i] = p;
   }
-  free_.resize(base);
+  free_count_ = base;
   alloc_failures_ += n - got;
   return got;
 }
 
-void PacketPool::Free(Packet* p) {
-  RB_CHECK_MSG(p != nullptr, "freeing null packet");
-  RB_CHECK_MSG(p->origin_pool_ == this, "packet returned to the wrong pool");
-  // A second Free() would push the packet onto the freelist twice, letting
-  // two later Alloc() calls hand out the same buffer.
-  RB_CHECK_MSG(!p->in_pool_, "double free: packet is already in the pool");
-  p->ResetMetadata();
-  p->in_pool_ = true;
-  free_.push_back(p);
-}
-
 void PacketPool::FreeBulk(Packet* const* pkts, size_t n) {
+  Packet** top = free_.get() + free_count_;
   for (size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) {
-      // Free() writes the packet's metadata line (ResetMetadata + the
-      // in_pool_ flag); by drain time that line has long been evicted, so
-      // hide the read-for-ownership behind the current packet's free.
-      PrefetchForWrite(pkts[i + 1]);
+    if (i + kPrefetchAhead < n) {
+      // The reset below writes both metadata lines, which by drain time
+      // have long been evicted: ask for ownership of both ahead of it.
+      PrefetchMetadataForWrite(pkts[i + kPrefetchAhead]);
     }
-    Free(pkts[i]);
+    Packet* p = pkts[i];
+    RB_CHECK_MSG(p != nullptr, "freeing null packet");
+    RB_CHECK_MSG(p->origin_pool_ == this, "packet returned to the wrong pool");
+    // Freeing a packet twice would put it on the freelist twice, letting
+    // two later allocations hand out the same buffer. The flag is set per
+    // packet, so a packet listed twice in one burst trips this too; and
+    // every packet that passes is distinct and was out of the pool, so
+    // `top` never runs past the freelist's room.
+    RB_CHECK_MSG(!p->in_pool_, "double free: packet is already in the pool");
+    p->ResetMetadata();
+    p->in_pool_ = true;
+    top[i] = p;
   }
+  free_count_ += n;
 }
 
 size_t PacketPool::SlotIndex(const Packet* p) const {

@@ -4,11 +4,18 @@
 
 #include <algorithm>
 #include <deque>
+#include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "packet/flow.hpp"
+#include "packet/headers.hpp"
 #include "packet/pool.hpp"
+#include "telemetry/latency_stats.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/profiler.hpp"
 #include "workload/abilene.hpp"
 #include "workload/synthetic.hpp"
 
@@ -188,49 +195,6 @@ TEST_F(NicTest, PcieDescriptorBatchingReducesTransactions) {
   EXPECT_EQ(txn_kn1 - txn_kn16, 15u);
 }
 
-TEST_F(NicTest, DeliverBatchMatchesPerPacketDeliver) {
-  // Two identical ports, same frames: one fed per packet, one per batch.
-  // Steering, staging, and counters must agree exactly.
-  NicConfig cfg;
-  cfg.num_rx_queues = 4;
-  cfg.kn = 16;
-  NicPort single(cfg);
-  NicPort bulk(cfg);
-
-  PacketBatch batch;
-  std::vector<Packet*> singles;
-  for (int i = 0; i < 37; ++i) {
-    FrameSpec spec = UdpFrame(64, 0x0a000000u + static_cast<uint32_t>(i),
-                              static_cast<uint16_t>(1000 + i));
-    singles.push_back(AllocFrame(spec, &pool_));
-    batch.PushBack(AllocFrame(spec, &pool_));
-  }
-  for (Packet* p : singles) {
-    single.Deliver(p, 0.0);
-  }
-  bulk.DeliverBatch(&batch, 0.0);
-  EXPECT_TRUE(batch.empty());
-  single.FlushAllStaged();
-  bulk.FlushAllStaged();
-  EXPECT_EQ(single.rx_counters().packets, bulk.rx_counters().packets);
-  EXPECT_EQ(single.pcie_counters().transactions.load(),
-            bulk.pcie_counters().transactions.load());
-  for (uint16_t q = 0; q < cfg.num_rx_queues; ++q) {
-    EXPECT_EQ(single.rx_queue_depth(q), bulk.rx_queue_depth(q)) << "queue " << q;
-  }
-  Packet* out[64];
-  for (NicPort* nic : {&single, &bulk}) {
-    for (uint16_t q = 0; q < cfg.num_rx_queues; ++q) {
-      size_t n;
-      while ((n = nic->PollRx(q, out, 64)) > 0) {
-        for (size_t i = 0; i < n; ++i) {
-          pool_.Free(out[i]);
-        }
-      }
-    }
-  }
-}
-
 TEST(PcieCountersTest, DescriptorBatchMath) {
   EXPECT_EQ(PcieDescriptorTxns(1), 1u);
   EXPECT_EQ(PcieDescriptorTxns(16), 1u);
@@ -251,69 +215,174 @@ TEST(PcieCountersTest, PacketDataSplitsAtMaxPayload) {
   EXPECT_EQ(PcieDataTxns(1500), 6u);
 }
 
-// Reference model of one single-queue port's accounting, applied frame by
-// frame from the NIC's specification rather than from NicPort's code: a
-// committed kn group costs ceil(g/16) descriptor transactions and 16 B per
-// descriptor, every frame (dropped ones included) ceil(len/256) data
-// transactions and len payload bytes, and a frame enters its FIFO ring
-// when the ring has room and is otherwise dropped.
+// Reference model of a port, applied frame by frame from the NIC's
+// specification rather than from NicPort's code.
+// - Steering: a frame whose first 34 B read Ethernet type 0x0800, IPv4
+//   version 4 and an IHL of at least 5 gets flow_hash = FlowHash32 of its
+//   5-tuple (ports only for TCP and UDP, and only when the 4 bytes past
+//   the IPv4 header are in the frame); any other frame keeps its
+//   flow_hash. RSS picks queue hash % Q (queue 0 for a frame that does
+//   not parse), single-queue mode queue 0, and the MAC table the rule for
+//   the destination MAC of a frame of at least 14 B, else RSS.
+// - Staging: a delivered frame is staged on its queue; the queue's group
+//   commits when it holds kn frames, or when a frame arrives
+//   batch_timeout or more after the group's oldest one.
+// - Accounting: a committed group costs ceil(g/16) descriptor
+//   transactions and 16 B per descriptor, every frame (dropped ones
+//   included) ceil(len/256) data transactions and len payload bytes, and
+//   a frame enters its FIFO ring when the ring has room and is otherwise
+//   dropped.
 class ReferenceNic {
  public:
   struct Side {
     uint64_t packets = 0;
     uint64_t bytes = 0;
     uint64_t drops = 0;
-    double occupancy_hw = 0;
-    std::deque<Packet*> ring;
-    int partial_overflows = 0;  // bursts that overflowed part way through
+    std::vector<double> occupancy_hw;  // per ring
+    std::vector<std::deque<Packet*>> rings;
+    int partial_overflows = 0;  // pushes that overflowed part way through
   };
+  // What delivery must write into a frame.
+  struct Steered {
+    uint16_t queue = 0;
+    bool hashed = false;  // the frame parses, so flow_hash is rewritten
+    uint32_t flow_hash = 0;
+  };
+  using Burst = std::vector<std::pair<Packet*, uint32_t>>;  // frame, length
 
-  ReferenceNic(size_t ring_capacity, uint16_t kn) : capacity_(ring_capacity), kn_(kn) {}
-
-  // `len` is the frame length, read by the test while it owned the frame.
-  void Deliver(Packet* p, uint32_t len) {
-    staged_.push_back({p, len});
-    if (staged_.size() >= kn_) {
-      Commit();
-    }
+  explicit ReferenceNic(const NicConfig& cfg) : cfg_(cfg), staged_(cfg.num_rx_queues) {
+    rx_.rings.resize(cfg.num_rx_queues);
+    rx_.occupancy_hw.resize(cfg.num_rx_queues);
+    tx_.rings.resize(cfg.num_tx_queues);
+    tx_.occupancy_hw.resize(cfg.num_tx_queues);
   }
-  void Commit() {
-    if (staged_.empty()) {
+
+  void AddMacRule(const MacAddress& mac, uint16_t queue) { mac_rules_[mac] = queue; }
+
+  // Steers `p` and stages it at `now`. Reads the frame, so the test calls
+  // it while it still owns `p`.
+  Steered Deliver(Packet* p, SimTime now) {
+    const Steered s = Steer(*p);
+    Group& g = staged_[s.queue];
+    if (g.frames.empty()) {
+      g.oldest = now;
+    }
+    g.frames.emplace_back(p, p->length());
+    if (g.frames.size() >= cfg_.kn) {
+      Commit(s.queue);
+    } else if (cfg_.batch_timeout > 0 && now - g.oldest >= cfg_.batch_timeout) {
+      timeout_commits_++;
+      Commit(s.queue);
+    }
+    return s;
+  }
+  void Commit(uint16_t q) {
+    Burst& group = staged_[q].frames;
+    if (group.empty()) {
       return;
     }
-    pcie_txns_ += (staged_.size() + 15) / 16;
-    pcie_bytes_ += staged_.size() * 16;
-    Push(&rx_, staged_);
-    staged_.clear();
+    pcie_txns_ += (group.size() + 15) / 16;
+    pcie_bytes_ += group.size() * 16;
+    Push(&rx_, q, group);
+    group.clear();
+  }
+  void CommitAll() {
+    for (uint16_t q = 0; q < cfg_.num_rx_queues; ++q) {
+      Commit(q);
+    }
+  }
+  // The timeout flush: commits every group batch_timeout or more old.
+  void FlushStaged(SimTime now) {
+    for (uint16_t q = 0; q < cfg_.num_rx_queues; ++q) {
+      if (cfg_.batch_timeout > 0 && !staged_[q].frames.empty() &&
+          now - staged_[q].oldest >= cfg_.batch_timeout) {
+        Commit(q);
+      }
+    }
   }
   // Returns the wire bytes of the frames the ring accepted.
-  uint64_t Transmit(const std::vector<std::pair<Packet*, uint32_t>>& burst) {
-    return Push(&tx_, burst);
-  }
+  uint64_t Transmit(const Burst& burst) { return Push(&tx_, 0, burst); }
 
   Side& rx() { return rx_; }
   Side& tx() { return tx_; }
   uint64_t pcie_txns() const { return pcie_txns_; }
   uint64_t pcie_bytes() const { return pcie_bytes_; }
-  size_t staged() const { return staged_.size(); }
+  // Groups a delivered frame committed because the group had timed out.
+  int timeout_commits() const { return timeout_commits_; }
+  size_t staged() const {
+    size_t n = 0;
+    for (const Group& g : staged_) {
+      n += g.frames.size();
+    }
+    return n;
+  }
+  // Frames dropped since the last call, which the pool has reset.
+  std::set<Packet*> TakeDropped() { return std::exchange(dropped_, {}); }
 
  private:
-  uint64_t Push(Side* side, const std::vector<std::pair<Packet*, uint32_t>>& burst) {
+  struct Group {
+    Burst frames;
+    SimTime oldest = 0;
+  };
+
+  Steered Steer(const Packet& p) const {
+    const uint8_t* f = p.data();
+    const uint32_t len = p.length();
+    Steered s;
+    FlowKey key;
+    if (len >= 34 && f[12] == 0x08 && f[13] == 0x00 && (f[14] >> 4) == 4 && (f[14] & 0xf) >= 5) {
+      key.protocol = f[23];
+      key.src_ip = LoadBe32(f + 26);
+      key.dst_ip = LoadBe32(f + 30);
+      const uint32_t l4 = 14 + 4u * (f[14] & 0xf);
+      if ((key.protocol == 6 || key.protocol == 17) && len >= l4 + 4) {
+        key.src_port = LoadBe16(f + l4);
+        key.dst_port = LoadBe16(f + l4 + 2);
+      }
+      s.hashed = true;
+      s.flow_hash = FlowHash32(key);
+    }
+    const uint16_t rss = s.hashed ? static_cast<uint16_t>(s.flow_hash % cfg_.num_rx_queues) : 0;
+    switch (cfg_.steering) {
+      case SteeringMode::kSingleQueue:
+        s.queue = 0;
+        break;
+      case SteeringMode::kRss:
+        s.queue = rss;
+        break;
+      case SteeringMode::kMacTable: {
+        s.queue = rss;
+        if (len >= 14) {
+          MacAddress dst;
+          std::copy(f, f + 6, dst.begin());
+          auto it = mac_rules_.find(dst);
+          if (it != mac_rules_.end()) {
+            s.queue = it->second;
+          }
+        }
+        break;
+      }
+    }
+    return s;
+  }
+
+  uint64_t Push(Side* side, uint16_t q, const Burst& burst) {
     uint64_t accepted_bytes = 0;
     size_t accepted = 0;
+    std::deque<Packet*>& ring = side->rings[q];
     for (const auto& [p, len] : burst) {
       pcie_txns_ += (len + 255) / 256;
       pcie_bytes_ += len;
-      if (side->ring.size() < capacity_) {
-        side->ring.push_back(p);
+      if (ring.size() < cfg_.ring_entries) {
+        ring.push_back(p);
         side->packets++;
         side->bytes += len;
-        side->occupancy_hw =
-            std::max(side->occupancy_hw, static_cast<double>(side->ring.size()));
+        side->occupancy_hw[q] = std::max(side->occupancy_hw[q], static_cast<double>(ring.size()));
         accepted_bytes += len;
         accepted++;
       } else {
         side->drops++;
+        dropped_.insert(p);
       }
     }
     if (accepted > 0 && accepted < burst.size()) {
@@ -322,13 +391,15 @@ class ReferenceNic {
     return accepted_bytes;
   }
 
-  size_t capacity_;
-  uint16_t kn_;
+  NicConfig cfg_;
+  std::map<MacAddress, uint16_t> mac_rules_;
+  std::vector<Group> staged_;
   Side rx_;
   Side tx_;
   uint64_t pcie_txns_ = 0;
   uint64_t pcie_bytes_ = 0;
-  std::vector<std::pair<Packet*, uint32_t>> staged_;
+  int timeout_commits_ = 0;
+  std::set<Packet*> dropped_;
 };
 
 // The NIC's per-burst accounting (one ring publish, one update per counter
@@ -347,7 +418,7 @@ TEST_F(NicTest, BurstAccountingMatchesPerPacketReference) {
   NicPort nic(cfg);
   telemetry::MetricRegistry registry;
   nic.BindTelemetry(&registry, "nic/");
-  ReferenceNic ref(cfg.ring_entries, cfg.kn);
+  ReferenceNic ref(cfg);
   Rng rng(27);
   AbileneSizeDistribution abilene;
   uint32_t next_src = 1;
@@ -362,13 +433,13 @@ TEST_F(NicTest, BurstAccountingMatchesPerPacketReference) {
     PacketBatch batch;
     for (int i = 0; i < n; ++i) {
       Packet* p = frame(abilene_size);
-      ref.Deliver(p, p->length());
+      ref.Deliver(p, 0.0);
       batch.PushBack(p);
     }
     nic.DeliverBatch(&batch, 0.0);
   };
   auto transmit = [&](std::vector<Packet*> pkts) {
-    std::vector<std::pair<Packet*, uint32_t>> burst;
+    ReferenceNic::Burst burst;
     for (Packet* p : pkts) {
       burst.emplace_back(p, p->length());
     }
@@ -390,7 +461,7 @@ TEST_F(NicTest, BurstAccountingMatchesPerPacketReference) {
   auto poll_and_forward = [&](size_t max) {
     Packet* out[64];
     const size_t n = nic.PollRx(0, out, std::min<size_t>(max, std::size(out)));
-    std::deque<Packet*>& ring = ref.rx().ring;
+    std::deque<Packet*>& ring = ref.rx().rings[0];
     ASSERT_EQ(n, std::min(max, ring.size()));
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(out[i], ring.front()) << "rx frame " << i << " out of order";
@@ -401,7 +472,7 @@ TEST_F(NicTest, BurstAccountingMatchesPerPacketReference) {
   auto drain = [&](size_t max) {
     Packet* out[64];
     const size_t n = nic.DrainTx(out, std::min<size_t>(max, std::size(out)));
-    std::deque<Packet*>& ring = ref.tx().ring;
+    std::deque<Packet*>& ring = ref.tx().rings[0];
     ASSERT_EQ(n, std::min(max, ring.size()));
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(out[i], ring.front()) << "tx frame " << i << " out of order";
@@ -428,11 +499,11 @@ TEST_F(NicTest, BurstAccountingMatchesPerPacketReference) {
     EXPECT_EQ(snap.CounterValue("nic/tx_packets"), tx.packets);
     EXPECT_EQ(snap.CounterValue("nic/tx_bytes"), tx.bytes);
     EXPECT_EQ(snap.CounterValue("nic/tx_drops"), tx.drops);
-    EXPECT_EQ(snap.GaugeValue("nic/rxq0/occupancy_hw"), rx.occupancy_hw);
-    EXPECT_EQ(snap.GaugeValue("nic/txq0/occupancy_hw"), tx.occupancy_hw);
-    EXPECT_EQ(nic.rx_queue_depth(0), rx.ring.size());
+    EXPECT_EQ(snap.GaugeValue("nic/rxq0/occupancy_hw"), rx.occupancy_hw[0]);
+    EXPECT_EQ(snap.GaugeValue("nic/txq0/occupancy_hw"), tx.occupancy_hw[0]);
+    EXPECT_EQ(nic.rx_queue_depth(0), rx.rings[0].size());
     EXPECT_EQ(pool_.available(),
-              pool_.capacity() - ref.staged() - rx.ring.size() - tx.ring.size());
+              pool_.capacity() - ref.staged() - rx.rings[0].size() - tx.rings[0].size());
   };
 
   // Scripted: fill, drain a little, then overflow mid-group and mid-burst.
@@ -446,7 +517,7 @@ TEST_F(NicTest, BurstAccountingMatchesPerPacketReference) {
   check("group overflowing part way");
   deliver(5, false);
   nic.FlushAllStaged();  // ring full: all 5 dropped
-  ref.Commit();
+  ref.CommitAll();
   check("flush into a full ring");
   transmit_fresh(40, true);  // tx room 28: 28 out, 12 dropped
   check("tx burst overflowing part way");
@@ -473,7 +544,7 @@ TEST_F(NicTest, BurstAccountingMatchesPerPacketReference) {
         break;
       case 4:
         nic.FlushAllStaged();
-        ref.Commit();
+        ref.CommitAll();
         break;
     }
     check("random step");
@@ -486,13 +557,236 @@ TEST_F(NicTest, BurstAccountingMatchesPerPacketReference) {
 
   // Tear down: everything staged or queued comes back to the pool.
   nic.FlushAllStaged();
-  ref.Commit();
-  while (!ref.rx().ring.empty() || !ref.tx().ring.empty()) {
+  ref.CommitAll();
+  while (!ref.rx().rings[0].empty() || !ref.tx().rings[0].empty()) {
     poll_and_forward(64);
     drain(64);
   }
   check("drained");
   EXPECT_EQ(pool_.available(), pool_.capacity());
+}
+
+// The one delivery pass (Deliver and DeliverBatch) against the reference
+// above, over RSS on 1, 2, 3, 4 and 8 queues, the MAC table with rule hits
+// and misses, and single-queue steering; kn 1, 3 and 16; batch_timeout 0
+// and above 0 with `now` advancing between calls; bursts of 1-256 frames
+// that overflow 64-entry rx rings, also part way through a group. Frames
+// are UDP, TCP and ICMP, with IHL 5-15, or do not parse: not IPv4,
+// version 6, IHL below 5, truncated below 34 B (some below the Ethernet
+// header). After every call, each frame the NIC still holds carries the
+// reference's flow_hash (untouched when the frame does not parse), the
+// call's arrival time and one ingress stamp read during the call (0 with
+// stamping shed); each ring holds the reference's frames in order, and
+// rx counters, PCIe totals and the pool's returns equal the reference's.
+TEST_F(NicTest, DeliveryMatchesReferenceNic) {
+  struct Case {
+    const char* name;
+    SteeringMode steering;
+    uint16_t queues;
+    uint16_t kn;
+    SimTime timeout;
+  };
+  const Case cases[] = {
+      {"rss Q=1 kn=16", SteeringMode::kRss, 1, 16, 0},
+      {"rss Q=2 kn=3", SteeringMode::kRss, 2, 3, 0},
+      {"rss Q=3 kn=16 timeout", SteeringMode::kRss, 3, 16, 1e-3},
+      {"rss Q=4 kn=16", SteeringMode::kRss, 4, 16, 0},
+      {"rss Q=8 kn=1", SteeringMode::kRss, 8, 1, 0},
+      {"rss Q=8 kn=3 timeout", SteeringMode::kRss, 8, 3, 2e-3},
+      {"mac Q=4 kn=3 timeout", SteeringMode::kMacTable, 4, 3, 1e-3},
+      {"mac Q=3 kn=16", SteeringMode::kMacTable, 3, 16, 0},
+      {"single Q=1 kn=1 timeout", SteeringMode::kSingleQueue, 1, 1, 1e-3},
+      {"single Q=4 kn=16", SteeringMode::kSingleQueue, 4, 16, 0},
+  };
+  constexpr uint32_t kUntouched = 0x5eed5eed;  // flow_hash before delivery
+  PacketPool pool(4096);
+  Rng rng(34);
+  const bool stamp_default = telemetry::IngressStampEnabled();
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    NicConfig cfg;
+    cfg.num_rx_queues = c.queues;
+    cfg.ring_entries = 64;
+    cfg.kn = c.kn;
+    cfg.batch_timeout = c.timeout;
+    cfg.steering = c.steering;
+    NicPort nic(cfg);
+    ReferenceNic ref(cfg);
+    std::vector<MacAddress> rule_macs;
+    if (c.steering == SteeringMode::kMacTable) {
+      for (uint16_t k = 0; k < 2 * c.queues; ++k) {
+        rule_macs.push_back(MacForNode(k));
+        nic.steering().AddMacRule(rule_macs.back(), static_cast<uint16_t>((k * 5 + 1) % c.queues));
+        ref.AddMacRule(rule_macs.back(), static_cast<uint16_t>((k * 5 + 1) % c.queues));
+      }
+    }
+    SimTime now = 0;
+    int unparsed = 0;
+    int mac_hits = 0;
+
+    auto frame = [&] {
+      FrameSpec spec;
+      spec.size = rng.NextBool(0.2) ? static_cast<uint32_t>(rng.NextRange(65, 200)) : 64;
+      spec.flow.src_ip = static_cast<uint32_t>(rng.Next());
+      spec.flow.dst_ip = static_cast<uint32_t>(rng.Next());
+      spec.flow.src_port = static_cast<uint16_t>(rng.Next());
+      spec.flow.dst_port = static_cast<uint16_t>(rng.Next());
+      const uint8_t protocols[] = {Ipv4View::kProtoUdp, Ipv4View::kProtoTcp, Ipv4View::kProtoIcmp};
+      spec.flow.protocol = protocols[rng.NextBounded(3)];
+      Packet* p = AllocFrame(spec, &pool);
+      EXPECT_NE(p, nullptr);
+      uint8_t* f = p->data();
+      switch (rng.NextBounded(10)) {
+        case 0:  // options: the ports move past them, or out of the frame
+          f[14] = static_cast<uint8_t>(0x40 | rng.NextRange(6, 15));
+          break;
+        case 1:  // not IPv4
+          StoreBe16(f + 12, rng.NextBool(0.5) ? 0x86dd : EthernetView::kTypeArp);
+          break;
+        case 2:  // version 6, or an IHL below 5
+          f[14] = rng.NextBool(0.5) ? 0x65 : static_cast<uint8_t>(0x40 | rng.NextBounded(5));
+          break;
+        case 3:  // truncated, some below the Ethernet header
+          p->SetLength(static_cast<uint32_t>(rng.NextBounded(34)));
+          break;
+      }
+      if (!rule_macs.empty() && rng.NextBool(0.5)) {
+        const MacAddress& mac = rule_macs[rng.NextBounded(rule_macs.size())];
+        std::copy(mac.begin(), mac.end(), f);
+        mac_hits += p->length() >= EthernetView::kSize;
+      }
+      p->set_flow_hash(kUntouched);
+      p->set_arrival_time(-1);
+      p->set_ingress_cycles(0);
+      return p;
+    };
+
+    auto deliver = [&](uint32_t n) {
+      const bool stamp = rng.NextBool(0.75);
+      telemetry::SetIngressStampEnabled(stamp);
+      PacketBatch batch;
+      std::vector<std::pair<Packet*, ReferenceNic::Steered>> sent;
+      for (uint32_t i = 0; i < n; ++i) {
+        Packet* p = frame();
+        sent.emplace_back(p, ref.Deliver(p, now));
+        unparsed += !sent.back().second.hashed;
+        batch.PushBack(p);
+      }
+      const uint64_t before = telemetry::ReadCycles();
+      if (n == 1 && rng.NextBool(0.5)) {
+        nic.Deliver(batch[0], now);
+      } else {
+        nic.DeliverBatch(&batch, now);
+        EXPECT_TRUE(batch.empty());
+      }
+      const uint64_t after = telemetry::ReadCycles();
+      telemetry::SetIngressStampEnabled(stamp_default);
+      const std::set<Packet*> dropped = ref.TakeDropped();
+      uint64_t burst_stamp = 0;
+      for (const auto& [p, want] : sent) {
+        if (dropped.count(p) != 0) {
+          continue;  // back in the pool, annotations reset
+        }
+        EXPECT_EQ(p->flow_hash(), want.hashed ? want.flow_hash : kUntouched);
+        EXPECT_EQ(p->arrival_time(), now);
+        if (!stamp) {
+          EXPECT_EQ(p->ingress_cycles(), 0u);
+          continue;
+        }
+        EXPECT_GE(p->ingress_cycles(), before);
+        EXPECT_LE(p->ingress_cycles(), after);
+        if (burst_stamp == 0) {
+          burst_stamp = p->ingress_cycles();
+        }
+        EXPECT_EQ(p->ingress_cycles(), burst_stamp) << "one stamp per burst";
+      }
+    };
+    auto poll = [&](uint16_t q, size_t max) {
+      Packet* out[128];
+      const size_t n = nic.PollRx(q, out, std::min<size_t>(max, std::size(out)));
+      std::deque<Packet*>& ring = ref.rx().rings[q];
+      ASSERT_EQ(n, std::min(max, ring.size())) << "queue " << q;
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(out[i], ring.front()) << "queue " << q << " frame " << i << " out of order";
+        ring.pop_front();
+      }
+      pool.FreeBulk(out, n);
+    };
+    auto check = [&](const char* step) {
+      SCOPED_TRACE(step);
+      EXPECT_EQ(nic.rx_counters().packets, ref.rx().packets);
+      EXPECT_EQ(nic.rx_counters().bytes, ref.rx().bytes);
+      EXPECT_EQ(nic.rx_counters().drops, ref.rx().drops);
+      EXPECT_EQ(nic.pcie_counters().transactions, ref.pcie_txns());
+      EXPECT_EQ(nic.pcie_counters().payload_bytes, ref.pcie_bytes());
+      size_t held = ref.staged();
+      for (uint16_t q = 0; q < c.queues; ++q) {
+        EXPECT_EQ(nic.rx_queue_depth(q), ref.rx().rings[q].size()) << "queue " << q;
+        held += ref.rx().rings[q].size();
+      }
+      EXPECT_EQ(pool.available(), pool.capacity() - held);
+    };
+
+    for (int step = 0; step < 300; ++step) {
+      if (c.timeout > 0) {
+        now += rng.NextDouble() * c.timeout;
+      } else {
+        now += 1e-6;
+      }
+      switch (rng.NextBounded(10)) {
+        case 0:
+        case 1:
+        case 2:
+        case 3:
+          deliver(static_cast<uint32_t>(rng.NextBool(0.2) ? rng.NextRange(1, 4)
+                                                             : rng.NextRange(1, 256)));
+          check("deliver");
+          break;
+        case 4:
+        case 5:
+        case 6:
+          poll(static_cast<uint16_t>(rng.NextBounded(c.queues)), rng.NextRange(1, 128));
+          check("poll");
+          break;
+        case 7:
+        case 8:
+          nic.FlushStaged(now);
+          ref.FlushStaged(now);
+          check("timeout flush");
+          break;
+        case 9:
+          nic.FlushAllStaged();
+          ref.CommitAll();
+          check("flush all");
+          break;
+      }
+      if (HasFailure()) {
+        FAIL() << "diverged at step " << step;
+      }
+    }
+    EXPECT_GT(unparsed, 0);
+    if (c.steering == SteeringMode::kMacTable) {
+      EXPECT_GT(mac_hits, 0);
+    }
+    if (c.kn > 1) {
+      EXPECT_GT(ref.rx().partial_overflows, 0) << "no rx ring overflowed part way through a group";
+    }
+    if (c.timeout > 0 && c.kn > 1) {
+      EXPECT_GT(ref.timeout_commits(), 0) << "no delivery found its group timed out";
+    }
+
+    // Tear down: every staged and queued frame comes back, in order.
+    nic.FlushAllStaged();
+    ref.CommitAll();
+    for (uint16_t q = 0; q < c.queues; ++q) {
+      while (!ref.rx().rings[q].empty()) {
+        poll(q, 128);
+      }
+    }
+    check("drained");
+    EXPECT_EQ(pool.available(), pool.capacity());
+  }
 }
 
 }  // namespace

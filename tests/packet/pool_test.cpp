@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace rb {
 namespace {
 
@@ -168,6 +173,122 @@ TEST(PoolDeathTest, FreeBulkDetectsDoubleFree) {
   // the per-packet double-free check.
   EXPECT_DEATH(pool.FreeBulk(pkts, 2), "double free");
   pool.Free(pkts[1]);
+}
+
+TEST(PoolDeathTest, FreeBulkDetectsPacketListedTwice) {
+  PacketPool pool(4);
+  Packet* pkts[3];
+  ASSERT_EQ(pool.AllocBulk(pkts, 2), 2u);
+  pkts[2] = pkts[0];
+  // Neither packet is in the pool before the call: the second listing is
+  // what must trip the double-free check.
+  EXPECT_DEATH(pool.FreeBulk(pkts, 3), "double free");
+  pool.FreeBulk(pkts, 2);
+}
+
+TEST(PoolDeathTest, FreeBulkDetectsForeignPacketMidBurst) {
+  PacketPool pool(4);
+  PacketPool other(1);
+  Packet* pkts[4];
+  ASSERT_EQ(pool.AllocBulk(pkts, 3), 3u);
+  pkts[3] = pkts[2];
+  pkts[2] = other.Alloc();
+  EXPECT_DEATH(pool.FreeBulk(pkts, 4), "wrong pool");
+  other.Free(pkts[2]);
+  pkts[2] = pkts[3];
+  pool.FreeBulk(pkts, 3);
+}
+
+// Sets every annotation on both metadata lines to a value that is not
+// its default.
+void Annotate(Packet* p, uint32_t i) {
+  const uint8_t bytes[96] = {};
+  p->SetPayload(bytes, 64 + i % 32);
+  p->Push(14);
+  p->set_arrival_time(1.5 + i);
+  p->set_input_port(static_cast<uint16_t>(1 + i));
+  p->set_flow_hash(0xabc00000u + i);
+  p->set_vlb_phase(VlbPhase::kPhase2);
+  p->set_output_node(static_cast<uint16_t>(i));
+  p->set_flow_id(1000 + i);
+  p->set_flow_seq(2000 + i);
+  p->set_paint(static_cast<uint8_t>(1 + i % 200));
+  p->set_trace_handle(3000 + i);
+  p->set_ingress_cycles(4000 + i);
+  p->set_enqueue_time(5.5 + i);
+}
+
+void ExpectDefaultAnnotations(const Packet& p) {
+  const auto fresh = std::make_unique<Packet>();
+  EXPECT_EQ(p.length(), fresh->length());
+  EXPECT_EQ(p.headroom(), fresh->headroom());
+  EXPECT_EQ(p.arrival_time(), fresh->arrival_time());
+  EXPECT_EQ(p.input_port(), fresh->input_port());
+  EXPECT_EQ(p.flow_hash(), fresh->flow_hash());
+  EXPECT_EQ(p.vlb_phase(), fresh->vlb_phase());
+  EXPECT_EQ(p.output_node(), fresh->output_node());
+  EXPECT_EQ(p.flow_id(), fresh->flow_id());
+  EXPECT_EQ(p.flow_seq(), fresh->flow_seq());
+  EXPECT_EQ(p.paint(), fresh->paint());
+  EXPECT_EQ(p.trace_handle(), fresh->trace_handle());
+  EXPECT_EQ(p.ingress_cycles(), fresh->ingress_cycles());
+  EXPECT_EQ(p.enqueue_time(), fresh->enqueue_time());
+}
+
+TEST(PoolTest, FreeBulkMatchesPerPacketFree) {
+  // Two pools hand out the same slots; the packets are annotated alike on
+  // both metadata lines and returned in the same shuffled order, by one
+  // pool in bursts of assorted sizes (longer and shorter than the
+  // prefetch distance) and by the other one packet at a time. Both pools
+  // must then carve the same slots in the same order, the order they were
+  // freed in, and every annotation must read its default.
+  constexpr size_t kN = 300;
+  PacketPool bulk(kN);
+  PacketPool single(kN);
+  Packet* a[kN];
+  Packet* b[kN];
+  ASSERT_EQ(bulk.AllocBulk(a, kN), kN);
+  ASSERT_EQ(single.AllocBulk(b, kN), kN);
+  std::vector<size_t> order(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    order[i] = i;
+  }
+  Rng rng(34);
+  for (size_t i = kN - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.NextBounded(i + 1)]);
+  }
+  std::vector<Packet*> bulk_order;
+  std::vector<size_t> want_slots;
+  for (size_t i : order) {
+    ASSERT_EQ(bulk.SlotIndex(a[i]), single.SlotIndex(b[i]));
+    Annotate(a[i], static_cast<uint32_t>(i));
+    Annotate(b[i], static_cast<uint32_t>(i));
+    bulk_order.push_back(a[i]);
+    want_slots.push_back(bulk.SlotIndex(a[i]));
+  }
+  size_t done = 0;
+  for (size_t burst : {size_t{1}, size_t{3}, size_t{8}, size_t{9}, size_t{64}, size_t{215}}) {
+    bulk.FreeBulk(bulk_order.data() + done, burst);
+    done += burst;
+  }
+  ASSERT_EQ(done, kN);
+  for (size_t i : order) {
+    single.Free(b[i]);
+  }
+  ASSERT_EQ(bulk.available(), kN);
+  ASSERT_EQ(single.available(), kN);
+
+  ASSERT_EQ(bulk.AllocBulk(a, kN), kN);
+  ASSERT_EQ(single.AllocBulk(b, kN), kN);
+  for (size_t i = 0; i < kN; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(bulk.SlotIndex(a[i]), want_slots[i]);
+    EXPECT_EQ(single.SlotIndex(b[i]), want_slots[i]);
+    ExpectDefaultAnnotations(*a[i]);
+    ExpectDefaultAnnotations(*b[i]);
+  }
+  bulk.FreeBulk(a, kN);
+  single.FreeBulk(b, kN);
 }
 
 TEST(PoolTest, AllocBulkClearsInPoolFlag) {
