@@ -34,7 +34,6 @@ void Tee::PushBatch(int /*port*/, PacketBatch& batch) {
       }
       copy->SetPayload(p->data(), p->length());
       copy->set_arrival_time(p->arrival_time());
-      copy->set_input_port(p->input_port());
       copy->set_flow_hash(p->flow_hash());
       copy->set_vlb_phase(p->vlb_phase());
       copy->set_output_node(p->output_node());

@@ -130,15 +130,11 @@ void SingleServerRouter::Initialize() {
 
 void SingleServerRouter::DeliverFrame(int p, Packet* frame, SimTime t) {
   RB_CHECK(p >= 0 && p < config_.num_ports);
-  frame->set_input_port(static_cast<uint16_t>(p));
   port(p).Deliver(frame, t);
 }
 
 void SingleServerRouter::DeliverBatch(int p, PacketBatch* batch, SimTime t) {
   RB_CHECK(p >= 0 && p < config_.num_ports);
-  for (Packet* frame : *batch) {
-    frame->set_input_port(static_cast<uint16_t>(p));
-  }
   port(p).DeliverBatch(batch, t);
 }
 

@@ -3,8 +3,9 @@
 // The paper's IPsec application encrypts every packet with AES-128 "as is
 // typical in VPNs" (§5.1). This is the portable, byte-wise implementation
 // (S-box + MixColumns over GF(2^8)), one block at a time. It is the only
-// cipher on CPUs without AES-NI and the reference the AES-NI kernels in
-// aesni.cpp are tested against; AesCbc (cbc.hpp) picks between the two.
+// cipher on CPUs without AES-NI and the reference the AES-NI and VAES
+// kernels in aesni.cpp are tested against; AesCbc (cbc.hpp) picks among
+// them.
 // Its FIPS-197 key expansion is shared by both: the expanded schedule's
 // byte layout is exactly the round-key layout `aesenc` consumes.
 #ifndef RB_CRYPTO_AES128_HPP_

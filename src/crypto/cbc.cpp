@@ -7,14 +7,72 @@
 
 namespace rb {
 
-AesCbc::AesCbc(const uint8_t key[Aes128::kKeySize]) : cipher_(key), aesni_(aesni::Supported()) {
-  if (aesni_) {
+bool CbcKernelSupported(CbcKernel kernel) {
+  switch (kernel) {
+    case CbcKernel::kPortable:
+      return true;
+    case CbcKernel::kAesni:
+      return aesni::Supported();
+    case CbcKernel::kVaes:
+      return aesni::VaesSupported();
+  }
+  return false;
+}
+
+const char* CbcKernelName(CbcKernel kernel) {
+  switch (kernel) {
+    case CbcKernel::kPortable:
+      return "portable";
+    case CbcKernel::kAesni:
+      return "aesni";
+    case CbcKernel::kVaes:
+      return "vaes";
+  }
+  return "?";
+}
+
+namespace {
+
+CbcKernel FastestKernel() {
+  CbcKernel best = CbcKernel::kPortable;
+  for (CbcKernel k : kCbcKernels) {
+    if (CbcKernelSupported(k)) {
+      best = k;
+    }
+  }
+  return best;
+}
+
+// Runs `kernel` over the streams, which must be whole blocks.
+void RunKernel(const AesCbc& cbc, CbcKernel kernel, CbcStream* streams, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    RB_CHECK(streams[i].len % Aes128::kBlockSize == 0);
+  }
+  switch (kernel) {
+    case CbcKernel::kPortable:
+      for (size_t i = 0; i < n; ++i) {
+        cbc.EncryptPortable(streams[i].data, streams[i].len, streams[i].iv);
+      }
+      return;
+    case CbcKernel::kAesni:
+      aesni::CbcEncryptMany(cbc.cipher().round_keys(), streams, n);
+      return;
+    case CbcKernel::kVaes:
+      aesni::CbcEncryptManyVaes(cbc.cipher().round_keys(), streams, n);
+      return;
+  }
+}
+
+}  // namespace
+
+AesCbc::AesCbc(const uint8_t key[Aes128::kKeySize]) : cipher_(key), kernel_(FastestKernel()) {
+  if (kernel_ != CbcKernel::kPortable) {
     aesni::ExpandDecryptKeys(cipher_.round_keys(), dec_keys_.data());
   }
 }
 
 void AesCbc::Encrypt(uint8_t* data, size_t len, const uint8_t iv[Aes128::kBlockSize]) const {
-  if (!aesni_) {
+  if (kernel_ == CbcKernel::kPortable) {
     EncryptPortable(data, len, iv);
     return;
   }
@@ -23,7 +81,7 @@ void AesCbc::Encrypt(uint8_t* data, size_t len, const uint8_t iv[Aes128::kBlockS
 }
 
 void AesCbc::Decrypt(uint8_t* data, size_t len, const uint8_t iv[Aes128::kBlockSize]) const {
-  if (!aesni_) {
+  if (kernel_ == CbcKernel::kPortable) {
     DecryptPortable(data, len, iv);
     return;
   }
@@ -32,16 +90,16 @@ void AesCbc::Decrypt(uint8_t* data, size_t len, const uint8_t iv[Aes128::kBlockS
 }
 
 void AesCbc::EncryptMany(CbcStream* streams, size_t n) const {
-  if (!aesni_ || n == 1) {
-    for (size_t i = 0; i < n; ++i) {
-      Encrypt(streams[i].data, streams[i].len, streams[i].iv);
-    }
-    return;
+  if (n == 1) {
+    Encrypt(streams[0].data, streams[0].len, streams[0].iv);
+  } else {
+    RunKernel(*this, kernel_, streams, n);
   }
-  for (size_t i = 0; i < n; ++i) {
-    RB_CHECK(streams[i].len % Aes128::kBlockSize == 0);
-  }
-  aesni::CbcEncryptMany(cipher_.round_keys(), streams, n);
+}
+
+void AesCbc::EncryptManyOn(CbcKernel kernel, CbcStream* streams, size_t n) const {
+  RB_CHECK_MSG(CbcKernelSupported(kernel), CbcKernelName(kernel));
+  RunKernel(*this, kernel, streams, n);
 }
 
 void AesCbc::EncryptPortable(uint8_t* data, size_t len,

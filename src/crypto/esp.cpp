@@ -6,15 +6,26 @@
 
 namespace rb {
 
-EspTunnel::EspTunnel(const EspConfig& config) : config_(config), cbc_(config.key) {}
-
 namespace {
 
 // Bytes encapsulation prepends in front of the IP packet.
 constexpr uint32_t kPrepended =
     Ipv4View::kMinSize + EspTunnel::kEspHeaderBytes + EspTunnel::kIvBytes;
 
+// RFC 4303 §2.4 default padding: the bytes 1, 2, 3, ... A trailer needs at
+// most 15 of them.
+constexpr uint8_t kPadding[Aes128::kBlockSize] = {1, 2,  3,  4,  5,  6,  7,  8,
+                                                  9, 10, 11, 12, 13, 14, 15, 16};
+
 }  // namespace
+
+EspTunnel::EspTunnel(const EspConfig& config) : config_(config), cbc_(config.key) {
+  Ipv4View::WriteDefault(outer_, config_.tunnel_src, config_.tunnel_dst, Ipv4View::kProtoEsp,
+                         /*total_length=*/0);
+  Ipv4View{outer_}.set_checksum(0);
+  outer_sum_ = ChecksumPartial(outer_, Ipv4View::kMinSize);
+  StoreBe32(outer_ + Ipv4View::kMinSize, config_.spi);
+}
 
 bool EspTunnel::Encapsulate(Packet* p) {
   bool ok = false;
@@ -52,9 +63,7 @@ bool EspTunnel::Frame(Packet* p) {
   // The Ethernet header stays in the headroom until WriteHeaders moves it.
   p->Pull(EthernetView::kSize);
   uint8_t* tail = p->Put(pad + 2);
-  for (uint32_t i = 0; i < pad; ++i) {
-    tail[i] = static_cast<uint8_t>(i + 1);  // RFC 4303 monotonic padding
-  }
+  memcpy(tail, kPadding, pad);
   tail[pad] = static_cast<uint8_t>(pad);
   tail[pad + 1] = 4;  // next header: IPv4 (tunnel mode)
 
@@ -76,10 +85,11 @@ void EspTunnel::WriteHeaders(Packet* p, const uint8_t iv[kIvBytes]) {
   // Moved before the IV overwrites it; the two ranges cannot overlap.
   memcpy(front, old_eth, EthernetView::kSize);
   uint8_t* outer = front + EthernetView::kSize;
-  Ipv4View::WriteDefault(outer, config_.tunnel_src, config_.tunnel_dst, Ipv4View::kProtoEsp,
-                         tunnel_len);
+  memcpy(outer, outer_, sizeof(outer_));
+  Ipv4View ip{outer};
+  ip.set_total_length(tunnel_len);
+  ip.set_checksum(ChecksumFinish(outer_sum_ + tunnel_len));
   uint8_t* esp = outer + Ipv4View::kMinSize;
-  StoreBe32(esp, config_.spi);
   StoreBe32(esp + 4, seq_++);
   memcpy(esp + kEspHeaderBytes, iv, kIvBytes);
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "crypto/cbc.hpp"
+#include "packet/headers.hpp"
 #include "packet/packet.hpp"
 
 namespace rb {
@@ -54,11 +55,18 @@ class EspTunnel {
   // appends the ESP trailer and queues its CBC stream with a fresh IV.
   bool Frame(Packet* p);
   // Prepends IV, ESP header, outer IPv4 and the frame's own Ethernet
-  // header around the ciphertext.
+  // header around the ciphertext: the tunnel's template, then the fields
+  // that differ per frame.
   void WriteHeaders(Packet* p, const uint8_t iv[kIvBytes]);
 
   EspConfig config_;
   AesCbc cbc_;
+  // The outer IPv4 header and SPI every frame of this tunnel carries,
+  // built once with total length and checksum zero, and the one's-
+  // complement sum of that header, which each frame's checksum extends
+  // by its total length.
+  uint8_t outer_[Ipv4View::kMinSize + 4] = {};
+  uint32_t outer_sum_ = 0;
   uint32_t seq_ = 1;
   uint64_t iv_counter_ = 0x5242000000000000ULL;
   std::vector<CbcStream> streams_;  // per-call scratch, reused

@@ -79,9 +79,6 @@ class Packet {
   SimTime arrival_time() const { return arrival_time_; }
   void set_arrival_time(SimTime t) { arrival_time_ = t; }
 
-  uint16_t input_port() const { return input_port_; }
-  void set_input_port(uint16_t p) { input_port_ = p; }
-
   uint32_t flow_hash() const { return flow_hash_; }
   void set_flow_hash(uint32_t h) { flow_hash_ = h; }
 
@@ -129,7 +126,6 @@ class Packet {
     length_ = 0;
     offset_ = kDefaultHeadroom;
     arrival_time_ = 0;
-    input_port_ = 0;
     flow_hash_ = 0;
     vlb_phase_ = VlbPhase::kNone;
     output_node_ = kNoNode;
@@ -162,7 +158,6 @@ class Packet {
   uint32_t length_ = 0;
   uint32_t offset_ = kDefaultHeadroom;
   uint32_t flow_hash_ = 0;
-  uint16_t input_port_ = 0;
   uint16_t output_node_ = kNoNode;
   VlbPhase vlb_phase_ = VlbPhase::kNone;
   uint8_t paint_ = 0;
@@ -201,7 +196,6 @@ struct PacketLayoutCheck {
   static_assert(offsetof(Packet, length_) < kCacheLineBytes);
   static_assert(offsetof(Packet, offset_) < kCacheLineBytes);
   static_assert(offsetof(Packet, flow_hash_) < kCacheLineBytes);
-  static_assert(offsetof(Packet, input_port_) < kCacheLineBytes);
   static_assert(offsetof(Packet, output_node_) < kCacheLineBytes);
   static_assert(offsetof(Packet, vlb_phase_) < kCacheLineBytes);
   static_assert(offsetof(Packet, paint_) < kCacheLineBytes);

@@ -1,12 +1,18 @@
-// Differential tests of the AES-NI CBC kernels against the portable
-// FIPS-197 path. A round trip cannot catch a kernel that is wrong the same
-// way in both directions, so every fast-path output is compared with the
-// portable one. On a CPU without AES-NI both sides run the portable code
-// and the comparisons hold trivially; the known-answer vectors still bind.
+// Differential tests of the AES-NI and VAES CBC kernels against the
+// portable FIPS-197 path. A round trip cannot catch a kernel that is wrong
+// the same way in both directions, so every fast-path output is compared
+// with the portable one. On a CPU without AES-NI both sides run the
+// portable code and the comparisons hold trivially; the known-answer
+// vectors still bind. CbcKernelDifferentialTest calls each multi-stream
+// kernel by name and skips the ones this CPU cannot run.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <memory>
+#include <ostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -186,6 +192,180 @@ TEST(CbcDifferentialDeathTest, EncryptManyRejectsPartialBlocks) {
   streams[1].len = sizeof(b);
   EXPECT_DEATH(cbc.EncryptMany(streams, 2), "");
 }
+
+// ---- every multi-stream kernel, called by name, against the portable cipher ----
+
+// Streams laid out back to back in one arena at odd addresses, with
+// canary bytes between them, plus what the portable cipher makes of each.
+class StreamSet {
+ public:
+  static constexpr size_t kGap = 3;
+  static constexpr uint8_t kCanary = 0xc5;
+
+  StreamSet(Rng* rng, const std::vector<size_t>& lens) : lens_(lens), ivs_(lens.size()) {
+    size_t total = 1;  // the first stream starts at an odd offset
+    for (size_t len : lens) {
+      total += len + kGap;
+    }
+    plain_ = RandomBytes(rng, total);
+    for (size_t i = 0; i < lens.size(); ++i) {
+      const Bytes iv = RandomBytes(rng, 16);
+      memcpy(ivs_[i].data(), iv.data(), 16);
+    }
+    size_t at = 1;
+    for (size_t len : lens) {
+      offsets_.push_back(at);
+      for (size_t g = 0; g < kGap; ++g) {
+        plain_[at + len + g] = kCanary;
+      }
+      at += len + kGap;
+    }
+  }
+
+  size_t size() const { return lens_.size(); }
+
+  // The arena after the portable cipher has encrypted every stream.
+  Bytes Expected(const AesCbc& cbc) const {
+    Bytes out = plain_;
+    for (size_t i = 0; i < size(); ++i) {
+      cbc.EncryptPortable(out.data() + offsets_[i], lens_[i], ivs_[i].data());
+    }
+    return out;
+  }
+
+  // The arena after one EncryptManyOn call over the streams, handed to it
+  // in `order`.
+  Bytes Run(const AesCbc& cbc, CbcKernel kernel, const std::vector<size_t>& order) const {
+    Bytes out = plain_;
+    std::vector<CbcStream> streams(order.size());
+    for (size_t j = 0; j < order.size(); ++j) {
+      streams[j].data = out.data() + offsets_[order[j]];
+      streams[j].len = lens_[order[j]];
+      memcpy(streams[j].iv, ivs_[order[j]].data(), 16);
+    }
+    cbc.EncryptManyOn(kernel, streams.data(), streams.size());
+    return out;
+  }
+
+  std::vector<size_t> InOrder() const {
+    std::vector<size_t> order(size());
+    for (size_t i = 0; i < size(); ++i) {
+      order[i] = i;
+    }
+    return order;
+  }
+
+ private:
+  std::vector<size_t> lens_;
+  std::vector<std::array<uint8_t, 16>> ivs_;
+  std::vector<size_t> offsets_;
+  Bytes plain_;
+};
+
+// ESP payload lengths of Abilene-mix frames, with empty, one-block and
+// odd-sized streams mixed in.
+size_t MixedLength(Rng* rng, AbileneSizeDistribution* sizes) {
+  switch (rng->NextBounded(8)) {
+    case 0:
+      return 0;
+    case 1:
+      return 16;
+    case 2:
+      return 16 * (1 + rng->NextBounded(120));
+    default: {
+      const size_t inner = sizes->NextSize(rng) - 14;
+      return inner + CbcPadLength(inner, /*esp_trailer=*/true) + 2;
+    }
+  }
+}
+
+}  // namespace
+
+// Names the kernel in test listings instead of its byte value (found by
+// argument-dependent lookup, so it lives in CbcKernel's namespace).
+void PrintTo(CbcKernel kernel, std::ostream* os) { *os << CbcKernelName(kernel); }
+
+namespace {
+
+class CbcKernelDifferentialTest : public ::testing::TestWithParam<CbcKernel> {
+ protected:
+  void SetUp() override {
+    if (!CbcKernelSupported(GetParam())) {
+      GTEST_SKIP() << "this CPU cannot run the " << CbcKernelName(GetParam()) << " kernel";
+    }
+  }
+
+  // Runs `set` on the kernel in call order and in a shuffled order, and
+  // expects the portable cipher's bytes from both.
+  void ExpectPortableBytes(const AesCbc& cbc, const StreamSet& set, Rng* rng,
+                           const std::string& what) {
+    const Bytes expected = set.Expected(cbc);
+    ASSERT_EQ(set.Run(cbc, GetParam(), set.InOrder()), expected) << what;
+    std::vector<size_t> shuffled = set.InOrder();
+    for (size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng->NextBounded(i)]);
+    }
+    ASSERT_EQ(set.Run(cbc, GetParam(), shuffled), expected) << what << ", shuffled";
+  }
+};
+
+TEST_P(CbcKernelDifferentialTest, EveryStreamCountMatchesPortable) {
+  Rng rng(3501);
+  const Bytes key = RandomBytes(&rng, 16);
+  AesCbc cbc(key.data());
+  AbileneSizeDistribution sizes;
+  std::vector<size_t> counts;
+  for (size_t n = 1; n <= 40; ++n) {
+    counts.push_back(n);
+  }
+  counts.insert(counts.end(), {100, 256, 1000});
+  for (size_t n : counts) {
+    std::vector<size_t> lens(n);
+    for (size_t& len : lens) {
+      len = MixedLength(&rng, &sizes);
+    }
+    ExpectPortableBytes(cbc, StreamSet(&rng, lens), &rng, "n = " + std::to_string(n));
+  }
+}
+
+TEST_P(CbcKernelDifferentialTest, EdgeShapesMatchPortable) {
+  Rng rng(3502);
+  const Bytes key = RandomBytes(&rng, 16);
+  AesCbc cbc(key.data());
+  // A call with no streams touches nothing.
+  ExpectPortableBytes(cbc, StreamSet(&rng, {}), &rng, "no streams");
+  const std::vector<std::pair<std::string, std::vector<size_t>>> shapes = {
+      {"all empty", std::vector<size_t>(20, 0)},
+      {"all one block", std::vector<size_t>(37, 16)},
+      {"empty and one-block", {0, 16, 0, 0, 16, 16, 0, 16, 0, 16, 16, 16, 16, 0, 16, 16, 16, 0}},
+      {"all equal, 36 blocks", std::vector<size_t>(33, 576)},
+      {"all equal, 93 blocks", std::vector<size_t>(17, 1488)},
+      {"one 1500 B among 64 B, first", [] {
+         std::vector<size_t> v(31, 64);
+         v.insert(v.begin(), 1488);
+         return v;
+       }()},
+      {"one 1500 B among 64 B, last", [] {
+         std::vector<size_t> v(31, 64);
+         v.push_back(1488);
+         return v;
+       }()},
+      {"one 1500 B among 64 B, middle", [] {
+         std::vector<size_t> v(40, 64);
+         v[17] = 1488;
+         return v;
+       }()},
+      {"at the long-stream threshold", {496, 512, 528, 496, 512, 528, 16, 0, 512}},
+  };
+  for (const auto& [what, lens] : shapes) {
+    ExpectPortableBytes(cbc, StreamSet(&rng, lens), &rng, what);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, CbcKernelDifferentialTest, ::testing::ValuesIn(kCbcKernels),
+                         [](const ::testing::TestParamInfo<CbcKernel>& param) {
+                           return std::string(CbcKernelName(param.param));
+                         });
 
 // ---- ESP: the batch path against per-packet portable encapsulation ----
 

@@ -64,7 +64,6 @@ TEST(PacketTest, PutAndTrim) {
 TEST(PacketTest, AnnotationsRoundTrip) {
   Packet p;
   p.set_arrival_time(1.5);
-  p.set_input_port(3);
   p.set_flow_hash(0xdeadbeef);
   p.set_vlb_phase(VlbPhase::kPhase2);
   p.set_output_node(7);
@@ -72,7 +71,6 @@ TEST(PacketTest, AnnotationsRoundTrip) {
   p.set_flow_seq(100);
   p.set_paint(5);
   EXPECT_EQ(p.arrival_time(), 1.5);
-  EXPECT_EQ(p.input_port(), 3);
   EXPECT_EQ(p.flow_hash(), 0xdeadbeefu);
   EXPECT_EQ(p.vlb_phase(), VlbPhase::kPhase2);
   EXPECT_EQ(p.output_node(), 7);

@@ -206,7 +206,6 @@ void Annotate(Packet* p, uint32_t i) {
   p->SetPayload(bytes, 64 + i % 32);
   p->Push(14);
   p->set_arrival_time(1.5 + i);
-  p->set_input_port(static_cast<uint16_t>(1 + i));
   p->set_flow_hash(0xabc00000u + i);
   p->set_vlb_phase(VlbPhase::kPhase2);
   p->set_output_node(static_cast<uint16_t>(i));
@@ -223,7 +222,6 @@ void ExpectDefaultAnnotations(const Packet& p) {
   EXPECT_EQ(p.length(), fresh->length());
   EXPECT_EQ(p.headroom(), fresh->headroom());
   EXPECT_EQ(p.arrival_time(), fresh->arrival_time());
-  EXPECT_EQ(p.input_port(), fresh->input_port());
   EXPECT_EQ(p.flow_hash(), fresh->flow_hash());
   EXPECT_EQ(p.vlb_phase(), fresh->vlb_phase());
   EXPECT_EQ(p.output_node(), fresh->output_node());
