@@ -4,18 +4,9 @@
 
 namespace rb {
 
-namespace {
-
-// Checked before the reciprocal divides by it.
-uint16_t AtLeastOneQueue(uint16_t num_queues) {
+Steering::Steering(SteeringMode mode, uint16_t num_queues) : mode_(mode), num_queues_(num_queues) {
   RB_CHECK(num_queues >= 1);
-  return num_queues;
 }
-
-}  // namespace
-
-Steering::Steering(SteeringMode mode, uint16_t num_queues)
-    : mode_(mode), num_queues_(AtLeastOneQueue(num_queues)), queue_of_hash_(num_queues_) {}
 
 uint16_t Steering::SelectByMac(Packet* p, bool parsed) const {
   if (p->length() >= EthernetView::kSize) {
@@ -25,7 +16,7 @@ uint16_t Steering::SelectByMac(Packet* p, bool parsed) const {
       return it->second;
     }
   }
-  return parsed ? static_cast<uint16_t>(queue_of_hash_.Of(p->flow_hash())) : 0;
+  return parsed ? static_cast<uint16_t>(p->flow_hash() % num_queues_) : 0;
 }
 
 void Steering::AddMacRule(const MacAddress& mac, uint16_t queue) {

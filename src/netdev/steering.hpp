@@ -21,24 +21,6 @@
 
 namespace rb {
 
-// x % d for every 32-bit x, with d >= 1 fixed when built: a precomputed
-// 64-bit reciprocal and two multiplies in place of a divide (Lemire, Kaser
-// and Kurz, "Faster remainder by direct computation", 2019). Exact for
-// every x and d, since 64 bits cover a 32-bit x times a 32-bit d.
-class FastModulo {
- public:
-  explicit FastModulo(uint32_t d) : d_(d), m_(~uint64_t{0} / d + 1) {}
-
-  uint32_t Of(uint32_t x) const {
-    const uint64_t fraction = m_ * x;  // wraps: the fractional part of x / d
-    return static_cast<uint32_t>((static_cast<unsigned __int128>(fraction) * d_) >> 64);
-  }
-
- private:
-  uint64_t d_;
-  uint64_t m_;  // ceil(2^64 / d), which wraps to 0 for d = 1
-};
-
 enum class SteeringMode : uint8_t {
   kSingleQueue,  // everything to queue 0 (the pre-multi-queue baseline)
   kRss,          // hash 5-tuple across queues
@@ -53,8 +35,7 @@ class Steering {
   // annotation when the frame parses as IPv4: hardware computes the RSS
   // hash for every received IPv4 frame, whatever the steering policy.
   // Inline for RSS and a single queue, with no modulo when there is one
-  // queue and a reciprocal multiply in place of a divide otherwise; the
-  // MAC table is looked up out of line.
+  // queue; the MAC table is looked up out of line.
   uint16_t SelectRxQueue(Packet* p) {
     FlowKey key;
     const bool parsed = ExtractFlowKey(*p, &key);
@@ -67,7 +48,7 @@ class Steering {
     if (!parsed || mode_ == SteeringMode::kSingleQueue || num_queues_ == 1) {
       return 0;
     }
-    return static_cast<uint16_t>(queue_of_hash_.Of(p->flow_hash()));
+    return static_cast<uint16_t>(p->flow_hash() % num_queues_);
   }
 
   // Installs dst-MAC -> queue (kMacTable mode).
@@ -93,7 +74,6 @@ class Steering {
 
   SteeringMode mode_;
   uint16_t num_queues_;
-  FastModulo queue_of_hash_;  // flow_hash % num_queues_
   std::unordered_map<MacAddress, uint16_t, MacHasher> mac_rules_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
 #include "packet/pool.hpp"
 #include "workload/synthetic.hpp"
 
@@ -70,41 +69,6 @@ TEST(SteeringTest, MacTableMissFallsBackToRss) {
   uint16_t q = st.SelectRxQueue(p);
   EXPECT_EQ(q, p->flow_hash() % 4);
   pool.Free(p);
-}
-
-// The reciprocal modulo RSS steers by, against `%`, for every queue count
-// a port allows: edge hashes around 0, d, multiples of d and 2^32 - 1,
-// plus random ones.
-TEST(SteeringTest, FastModuloMatchesRemainderForEveryQueueCount) {
-  Rng rng(4242);
-  constexpr uint32_t kMax = 0xffffffffu;
-  uint64_t mismatches = 0;
-  uint64_t checked = 0;
-  auto check = [&](const FastModulo& mod, uint32_t d, uint32_t x) {
-    ++checked;
-    if (mod.Of(x) != x % d && ++mismatches <= 10) {
-      ADD_FAILURE() << x << " % " << d << ": got " << mod.Of(x) << ", want " << x % d;
-    }
-  };
-  for (uint32_t d = 1; d <= 0xffff; ++d) {
-    const FastModulo mod(d);
-    const uint32_t top = kMax - kMax % d;  // the largest multiple of d
-    for (uint32_t x : {0u, 1u, d - 1, d, d + 1, 2 * d - 1, 2 * d, 3 * d, d * d, top - 1, top,
-                       top + (kMax > top ? 1u : 0u), kMax - 1, kMax}) {
-      check(mod, d, x);
-    }
-    for (int i = 0; i < 8; ++i) {
-      const auto x = static_cast<uint32_t>(rng.Next());
-      check(mod, d, x);
-      check(mod, d, x - x % d);  // a random multiple of d
-    }
-  }
-  EXPECT_EQ(mismatches, 0u);
-  EXPECT_EQ(checked, 65535u * 30);
-}
-
-TEST(SteeringDeathTest, ZeroQueuesRefused) {
-  EXPECT_DEATH(Steering(SteeringMode::kRss, 0), "num_queues >= 1");
 }
 
 TEST(SteeringDeathTest, RuleQueueOutOfRange) {
