@@ -2,8 +2,9 @@
 // lookup (DIR-24-8 vs the reference trie), AES-128/CBC (portable, AES-NI
 // and multi-stream on each kernel), the Internet checksum, flow hashing,
 // the flow table (one key at a time and a burst at a time), SPSC vs
-// locked rings, ESP encapsulation (one frame and a burst), and the
-// router's two edges: NIC burst delivery and the pool's bulk free.
+// locked rings, ESP encapsulation (one frame and a burst), the router's
+// two edges (NIC burst delivery and the pool's bulk free), and its
+// set-up: the DIR-24-8 build and the packet pool.
 //
 // These measure this host's wall clock and make no claim of matching the
 // paper's testbed; they document the relative costs (e.g. D-lookup vs
@@ -70,6 +71,25 @@ void BM_LookupRadixTrie(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LookupRadixTrie);
+
+// Router set-up, part 1: the DIR-24-8 build from perfbench's table
+// (256K routes, one next hop per port), each iteration into a fresh
+// table, so the time includes faulting in tbl24's pages.
+void BM_Dir24_8Build(benchmark::State& state) {
+  rb::TableGenConfig cfg;
+  cfg.num_routes = 256 * 1024;
+  cfg.num_next_hops = 2;
+  cfg.seed = 42;
+  const std::vector<rb::RouteEntry> routes = rb::GenerateRoutingTable(cfg);
+  for (auto _ : state) {
+    rb::Dir24_8 table;
+    table.InsertAll(routes);
+    benchmark::DoNotOptimize(&table);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(routes.size()));
+}
+BENCHMARK(BM_Dir24_8Build)->Unit(benchmark::kMillisecond);
 
 void BM_Aes128Block(benchmark::State& state) {
   uint8_t key[16] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
@@ -411,6 +431,17 @@ void BM_PoolFreeBulk(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * static_cast<int64_t>(kN));
 }
 BENCHMARK(BM_PoolFreeBulk)->UseManualTime();
+
+// Router set-up, part 2: a router-sized pool (16384 packets, 35 MiB),
+// constructed and destroyed per iteration.
+void BM_PacketPoolConstruct(benchmark::State& state) {
+  for (auto _ : state) {
+    rb::PacketPool pool(16384);
+    benchmark::DoNotOptimize(&pool);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PacketPoolConstruct)->Unit(benchmark::kMillisecond);
 
 void BM_NicDeliverBatch(benchmark::State& state) {
   // NicPort::DeliverBatch of 256-frame bursts shaped like perfbench's

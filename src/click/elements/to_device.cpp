@@ -47,19 +47,37 @@ void ToDevice::AddHandlers(telemetry::HandlerRegistry* handlers) {
   });
 }
 
+void ToDevice::ObserveLatency(telemetry::LatencyHistogram* hist, Packet* const* pkts, size_t n,
+                              uint64_t now_cycles, uint64_t ns_per_cycle_q32) {
+  telemetry::LatencyHistogram::Shard& shard = hist->ThisShard();
+  uint64_t stamp = 0;  // the current run's stamp; 0: unstamped, not observed
+  uint64_t run = 0;
+  auto flush = [&] {
+    if (stamp != 0) {
+      telemetry::LatencyHistogram::ObserveNs(
+          shard,
+          static_cast<uint64_t>((static_cast<__uint128_t>(now_cycles - stamp) *
+                                 ns_per_cycle_q32) >> 32),
+          run);
+    }
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t s = pkts[i]->ingress_cycles();
+    if (s != stamp) {
+      flush();
+      stamp = s;
+      run = 0;
+    }
+    run++;
+  }
+  flush();
+}
+
 void ToDevice::TransmitBatch(PacketBatch& batch) {
   if (tele_lat_ != nullptr) {
-    // Egress readout of the ingress stamp. One cycle read covers the
-    // burst; the per-packet cost is a subtract, a fixed-point
-    // multiply-shift, and a wait-free log-bucket increment.
-    const uint64_t now_cycles = telemetry::ReadCycles();
-    for (Packet* p : batch) {
-      if (p->ingress_cycles() != 0) {
-        uint64_t dc = now_cycles - p->ingress_cycles();
-        tele_lat_->ObserveNs(static_cast<uint64_t>(
-            (static_cast<__uint128_t>(dc) * ns_per_cycle_q32_) >> 32));
-      }
-    }
+    // Egress readout of the ingress stamp: one cycle read per burst.
+    ObserveLatency(tele_lat_, batch.begin(), batch.size(), telemetry::ReadCycles(),
+                   ns_per_cycle_q32_);
   }
   if (tracer() != nullptr) {
     const double now = telemetry::NowSeconds();

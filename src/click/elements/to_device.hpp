@@ -52,6 +52,14 @@ class ToDevice : public Element {
   // Adds "<name>.latency": live ingress-to-egress percentile readout.
   void AddHandlers(telemetry::HandlerRegistry* handlers) override;
 
+  // The egress readout: observes `now_cycles` minus the ingress stamp of
+  // each stamped packet in pkts[0, n) into `hist`, converted to ns with
+  // the Q32.32 multiplier. Frames delivered in one burst share a stamp,
+  // so the shard is looked up once per burst, and each run of equal
+  // stamps costs one multiply and one bucket add.
+  static void ObserveLatency(telemetry::LatencyHistogram* hist, Packet* const* pkts, size_t n,
+                             uint64_t now_cycles, uint64_t ns_per_cycle_q32);
+
  private:
   // Transmits `batch` with one NicPort::Transmit burst (which owns each
   // packet either way; failures are counted as tx drops by the NIC).

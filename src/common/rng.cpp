@@ -88,22 +88,26 @@ double Rng::NextPareto(double xm, double alpha) {
   return xm / std::pow(1.0 - u, 1.0 / alpha);
 }
 
-size_t Rng::NextWeighted(const std::vector<double>& weights) {
+CumulativeWeights::CumulativeWeights(const std::vector<double>& weights) {
   RB_CHECK(!weights.empty());
+  sums_.reserve(weights.size());
   double total = 0;
   for (double w : weights) {
     total += w;
+    sums_.push_back(total);
   }
   RB_CHECK(total > 0);
-  double r = NextDouble() * total;
-  double acc = 0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (r < acc) {
+}
+
+size_t Rng::NextWeighted(const CumulativeWeights& weights) {
+  const std::vector<double>& sums = weights.sums();
+  const double r = NextDouble() * sums.back();
+  for (size_t i = 0; i < sums.size(); ++i) {
+    if (r < sums[i]) {
       return i;
     }
   }
-  return weights.size() - 1;
+  return sums.size() - 1;
 }
 
 }  // namespace rb

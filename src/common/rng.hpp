@@ -15,6 +15,19 @@
 
 namespace rb {
 
+// Sampling weights (need not be normalized) as their running sums, summed
+// once so that each Rng::NextWeighted draw is one compare per index.
+class CumulativeWeights {
+ public:
+  explicit CumulativeWeights(const std::vector<double>& weights);
+
+  // sums()[i] = weights[0] + ... + weights[i], added in that order.
+  const std::vector<double>& sums() const { return sums_; }
+
+ private:
+  std::vector<double> sums_;
+};
+
 class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
@@ -42,8 +55,8 @@ class Rng {
   // used for flow sizes.
   double NextPareto(double xm, double alpha);
 
-  // Samples an index according to `weights` (need not be normalized).
-  size_t NextWeighted(const std::vector<double>& weights);
+  // Samples an index with probability proportional to its weight.
+  size_t NextWeighted(const CumulativeWeights& weights);
 
   // Re-seeds the generator (same as constructing anew).
   void Seed(uint64_t seed);

@@ -13,17 +13,24 @@
 // Lookups therefore cost one memory access for prefixes up to /24 (the
 // vast majority in real tables) and two for longer ones.
 //
-// The table is built once, from the whole route list: routes sorted by
-// (length, prefix) fill tbl24 shortest prefix first, so a longer prefix
-// simply overwrites the slots it covers, and the /25-/32 routes go last,
-// each tbl_long segment seeded from its slot's final <= /24 hop. Nothing
-// but the lookup arrays outlives the build. RadixTrie stays the mutable
-// reference; the property tests check the two agree.
+// The table is built once, from the whole route list, in one pass in
+// address order: one 64-bit key per route (normalized prefix, length,
+// list index) is radix-sorted, so a covering prefix sorts before the
+// prefixes inside it, and a sweep then writes each tbl24 slot at most
+// once, from a stack of the open covering prefixes. A slot holding a
+// /25-/32 gets its tbl_long segment when the sweep reaches it, seeded
+// with the slot's final <= /24 hop; the slot's long routes then fill
+// it, each after the routes that cover it. tbl24 sits in a PageBuffer,
+// on 2 MiB pages: the kernel hands it over zeroed, so nothing clears it
+// first, and a slot no prefix covers is never written and reads
+// kNoRoute. Nothing but the lookup arrays outlives the build. RadixTrie
+// stays the mutable reference; the property tests check the two agree.
 #ifndef RB_LOOKUP_DIR24_8_HPP_
 #define RB_LOOKUP_DIR24_8_HPP_
 
 #include <vector>
 
+#include "common/page_buffer.hpp"
 #include "lookup/lpm.hpp"
 
 namespace rb {
@@ -36,7 +43,7 @@ class Dir24_8 : public LpmTable {
   // more than once resolves to its last entry and counts once in size(),
   // as RadixTrie::InsertAll would leave it. The table is built once: a
   // second InsertAll on a loaded table fails an RB_CHECK.
-  void InsertAll(std::vector<RouteEntry> routes);
+  void InsertAll(const std::vector<RouteEntry>& routes);
 
   uint32_t Lookup(uint32_t addr) const override;
   // Batch lookup with TBL24 prefetch pipelining: random destinations make
@@ -51,6 +58,7 @@ class Dir24_8 : public LpmTable {
   size_t memory_bytes() const;
 
  private:
+  static constexpr size_t kTbl24Entries = size_t{1} << 24;
   static constexpr uint16_t kExtendedBit = 0x8000;
   static constexpr size_t kSegmentSize = 256;
   static constexpr uint16_t kMaxNextHops = 0x7fff;
@@ -60,7 +68,8 @@ class Dir24_8 : public LpmTable {
 
   uint32_t ResolveNextHop(uint16_t index) const;
 
-  std::vector<uint16_t> tbl24_;      // 2^24 entries
+  PageBuffer tbl24_buffer_;
+  uint16_t* tbl24_;                  // 2^24 entries, in tbl24_buffer_
   std::vector<uint16_t> tbl_long_;   // segments of 256
   std::vector<uint32_t> next_hops_;  // index -> value; [0] == kNoRoute
   size_t size_ = 0;

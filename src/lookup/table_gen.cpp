@@ -1,29 +1,34 @@
 #include "lookup/table_gen.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/log.hpp"
+#include "common/page_buffer.hpp"
 
 namespace rb {
 namespace {
 
-// Open-addressed set of route keys ((prefix << 8) | length), sized once
-// for `n` keys at a load factor of at most one half. No key is kEmpty:
-// a prefix length is at most 32.
+// Open-addressed set of route keys, sized once for `n` keys at a load
+// factor of at most one half. Its slots come zeroed from the kernel and
+// go back to it, so the set neither fills them first nor leaves heap
+// behind; a key carries kOccupied, so no key reads as an empty slot.
 class RouteKeySet {
  public:
   explicit RouteKeySet(size_t n)
-      : shift_(64 - std::countr_zero(std::bit_ceil(2 * n + 2))),
-        slots_(size_t{1} << (64 - shift_), kEmpty) {}
+      : shift_(64 - std::countr_zero(std::bit_ceil(std::max<size_t>(2 * n, 2)))),
+        slots_buffer_((size_t{1} << (64 - shift_)) * sizeof(uint64_t)),
+        slots_(slots_buffer_.As<uint64_t>()) {}
 
-  // Adds `key`; false when it was already present.
-  bool Insert(uint64_t key) {
-    const size_t mask = slots_.size() - 1;
+  // Adds `prefix`/`length`; false when it was already present.
+  bool Insert(uint32_t prefix, uint8_t length) {
+    const uint64_t key = (uint64_t{prefix} << 8) | kOccupied | length;
+    const size_t mask = (size_t{1} << (64 - shift_)) - 1;
     for (size_t i = (key * 0x9e3779b97f4a7c15ULL) >> shift_;; i = (i + 1) & mask) {
       if (slots_[i] == key) {
         return false;
       }
-      if (slots_[i] == kEmpty) {
+      if (slots_[i] == 0) {
         slots_[i] = key;
         return true;
       }
@@ -31,9 +36,10 @@ class RouteKeySet {
   }
 
  private:
-  static constexpr uint64_t kEmpty = ~uint64_t{0};
+  static constexpr uint64_t kOccupied = 0x80;  // above any length (<= 32)
   int shift_;
-  std::vector<uint64_t> slots_;
+  PageBuffer slots_buffer_;
+  uint64_t* slots_;
 };
 
 }  // namespace
@@ -52,27 +58,27 @@ std::vector<std::pair<uint8_t, double>> DefaultPrefixLengthWeights() {
 std::vector<RouteEntry> GenerateRoutingTable(const TableGenConfig& config) {
   RB_CHECK(config.num_next_hops >= 1);
   Rng rng(config.seed);
-  auto weight_pairs = DefaultPrefixLengthWeights();
+  const auto weight_pairs = DefaultPrefixLengthWeights();
   std::vector<double> weights;
   weights.reserve(weight_pairs.size());
   for (const auto& [len, w] : weight_pairs) {
     weights.push_back(w);
   }
+  const CumulativeWeights length_weights(weights);
 
   std::vector<RouteEntry> routes;
   routes.reserve(config.num_routes);
   RouteKeySet seen(config.num_routes);
 
   while (routes.size() < config.num_routes) {
-    uint8_t length = weight_pairs[rng.NextWeighted(weights)].first;
+    uint8_t length = weight_pairs[rng.NextWeighted(length_weights)].first;
     uint32_t prefix = NormalizePrefix(static_cast<uint32_t>(rng.Next()), length);
     // Keep addresses out of multicast/reserved space so generated traffic
     // looks like unicast.
     if ((prefix >> 28) >= 0xe) {
       continue;
     }
-    uint64_t key = (static_cast<uint64_t>(prefix) << 8) | length;
-    if (!seen.Insert(key)) {
+    if (!seen.Insert(prefix, length)) {
       continue;
     }
     RouteEntry r;

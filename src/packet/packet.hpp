@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "common/log.hpp"
 #include "common/prefetch.hpp"
 #include "common/time.hpp"
 
@@ -65,15 +66,35 @@ class Packet {
   // was in the buffer); used by generators that only care about sizes.
   void SetLength(uint32_t len);
 
+  // The four framing ops below are inline: encapsulation runs them per
+  // packet. Each keeps its check; only the failure report is out of line.
+
   // Grows the packet by `n` bytes at the front (prepending a header).
   // Consumes headroom; RB_CHECKs if none is left. Returns the new front.
-  uint8_t* Push(uint32_t n);
+  uint8_t* Push(uint32_t n) {
+    RB_CHECK_MSG(offset_ >= n, "no headroom left");
+    offset_ -= n;
+    length_ += n;
+    return buf_ + offset_;
+  }
   // Removes `n` bytes from the front.
-  void Pull(uint32_t n);
+  void Pull(uint32_t n) {
+    RB_CHECK(n <= length_);
+    offset_ += n;
+    length_ -= n;
+  }
   // Appends `n` bytes at the tail (uninitialized); returns the first one.
-  uint8_t* Put(uint32_t n);
+  uint8_t* Put(uint32_t n) {
+    RB_CHECK_MSG(tailroom() >= n, "no tailroom left");
+    uint8_t* p = buf_ + offset_ + length_;
+    length_ += n;
+    return p;
+  }
   // Truncates `n` bytes from the tail.
-  void Trim(uint32_t n);
+  void Trim(uint32_t n) {
+    RB_CHECK(n <= length_);
+    length_ -= n;
+  }
 
   // --- annotations ---
   SimTime arrival_time() const { return arrival_time_; }

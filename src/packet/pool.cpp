@@ -1,5 +1,8 @@
 #include "packet/pool.hpp"
 
+#include <new>
+#include <type_traits>
+
 #include "common/log.hpp"
 #include "common/prefetch.hpp"
 
@@ -14,15 +17,22 @@ constexpr size_t kPrefetchAhead = 8;
 
 }  // namespace
 
+// The pool never runs a packet's destructor.
+static_assert(std::is_trivially_destructible_v<Packet>);
+
 PacketPool::PacketPool(size_t capacity)
     : capacity_(capacity),
-      storage_(std::make_unique<Packet[]>(capacity)),
-      free_(std::make_unique<Packet*[]>(capacity)),
+      storage_buffer_(capacity * sizeof(Packet)),
+      storage_(storage_buffer_.As<Packet>()),
+      free_(std::make_unique_for_overwrite<Packet*[]>(capacity)),
       free_count_(capacity) {
   for (size_t i = 0; i < capacity; ++i) {
-    storage_[i].origin_pool_ = this;
-    storage_[i].in_pool_ = true;
-    free_[i] = &storage_[i];
+    // Default-initialized: the metadata takes its initializers, and the
+    // buffer keeps the kernel's zeros.
+    Packet* p = new (&storage_[i]) Packet;
+    p->origin_pool_ = this;
+    p->in_pool_ = true;
+    free_[i] = p;
   }
 }
 
@@ -78,7 +88,7 @@ void PacketPool::FreeBulk(Packet* const* pkts, size_t n) {
 size_t PacketPool::SlotIndex(const Packet* p) const {
   RB_CHECK_MSG(p != nullptr && p->origin_pool() == this,
                "slot index asked for a foreign packet");
-  return static_cast<size_t>(p - storage_.get());
+  return static_cast<size_t>(p - storage_);
 }
 
 void PacketPool::Release(Packet* p) {

@@ -9,12 +9,18 @@
 // multi-threaded runs (per-core pools), matching the lock-free driver
 // design of §4.2. Packet::origin_pool() lets any element return a packet
 // to the pool it came from via PacketPool::Release().
+//
+// The packets live in a PageBuffer (on 2 MiB pages from 2 MiB up): the
+// kernel hands the storage over zeroed, and the pool constructs only each
+// packet's metadata in place, so a fresh buffer reads zero without the
+// pool writing it.
 #ifndef RB_PACKET_POOL_HPP_
 #define RB_PACKET_POOL_HPP_
 
 #include <cstddef>
 #include <memory>
 
+#include "common/page_buffer.hpp"
 #include "packet/packet.hpp"
 
 namespace rb {
@@ -68,7 +74,8 @@ class PacketPool {
 
  private:
   size_t capacity_;
-  std::unique_ptr<Packet[]> storage_;
+  PageBuffer storage_buffer_;
+  Packet* storage_;  // capacity_ packets, in storage_buffer_
   // The freelist: free_[0, free_count_) are in the pool, the top last.
   // It has room for every packet, so a checked free never overflows it.
   std::unique_ptr<Packet*[]> free_;

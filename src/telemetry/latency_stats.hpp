@@ -89,38 +89,42 @@ struct LatencySnapshot {
 };
 
 // Fixed-geometry log-bucketed histogram with per-core sharded bucket
-// arrays. ObserveNs is wait-free: one bucket-index computation plus a
-// handful of relaxed atomic stores on the caller core's shard.
+// arrays. ObserveNs is wait-free: one bucket-index computation plus one
+// relaxed atomic load and store on the caller core's shard.
 class LatencyHistogram {
  public:
-  LatencyHistogram();
-  LatencyHistogram(const LatencyHistogram&) = delete;
-  LatencyHistogram& operator=(const LatencyHistogram&) = delete;
-
-  // Inline, once per forwarded packet with stamping on: the entire write
-  // path is the bucket-index computation and one relaxed load + store on
-  // the caller core's shard (bench_latency's fwd/64B A/B holds the whole
-  // stamping feature < 2%). No per-shard count/sum/min/max — Snapshot
-  // reconstructs all of them from bucket occupancy, trading ~6% accuracy
-  // on the derived stats for a hot path with nothing left to remove.
-  // Single-writer-per-shard discipline (one core per queue) makes the
-  // plain load/store RMW exact; a wrapped shard (more cores than shards)
-  // can lose increments under a race, the same contract as
-  // ShardedHistogram. Readers may snapshot concurrently.
-  void ObserveNs(uint64_t ns) {
-    Shard& s = shards_[static_cast<size_t>(ThisCore()) % 16];
-    std::atomic<uint64_t>& bucket = s.counts[LatencyBuckets::Index(ns)];
-    bucket.store(bucket.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-  }
-  LatencySnapshot Snapshot() const;
-
- private:
   // Bucket counts only — every derived statistic is reconstructed at
   // snapshot time from occupancy, keeping the write path minimal.
   struct alignas(64) Shard {
     std::unique_ptr<std::atomic<uint64_t>[]> counts;  // [kCount]
   };
 
+  LatencyHistogram();
+  LatencyHistogram(const LatencyHistogram&) = delete;
+  LatencyHistogram& operator=(const LatencyHistogram&) = delete;
+
+  // The caller core's shard. A writer that observes a whole burst looks
+  // it up once and passes it to the static ObserveNs.
+  Shard& ThisShard() { return shards_[static_cast<size_t>(ThisCore()) % 16]; }
+
+  // Adds `count` observations of `ns` to `shard` in one bucket add, so a
+  // run of equal latencies costs what one observation does. No
+  // per-shard count/sum/min/max: Snapshot reconstructs all of them from
+  // bucket occupancy, trading ~6% accuracy on the derived stats for a
+  // hot path with nothing left to remove. Single-writer-per-shard
+  // discipline (one core per queue) makes the plain load/store RMW
+  // exact; a wrapped shard (more cores than shards) can lose increments
+  // under a race, the same contract as ShardedHistogram. Readers may
+  // snapshot concurrently.
+  static void ObserveNs(Shard& shard, uint64_t ns, uint64_t count) {
+    std::atomic<uint64_t>& bucket = shard.counts[LatencyBuckets::Index(ns)];
+    bucket.store(bucket.load(std::memory_order_relaxed) + count, std::memory_order_relaxed);
+  }
+  void ObserveNs(uint64_t ns) { ObserveNs(ThisShard(), ns, 1); }
+
+  LatencySnapshot Snapshot() const;
+
+ private:
   Shard shards_[16];  // kMaxShards; kept literal to avoid metrics.hpp dep
 };
 

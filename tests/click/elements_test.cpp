@@ -8,10 +8,13 @@
 #include "click/elements/ipsec.hpp"
 #include "click/elements/misc.hpp"
 #include "click/elements/queue.hpp"
+#include "click/elements/to_device.hpp"
 #include "click/router.hpp"
 #include "collect_sink.hpp"
+#include "common/rng.hpp"
 #include "lookup/radix_trie.hpp"
 #include "packet/pool.hpp"
+#include "telemetry/latency_stats.hpp"
 #include "workload/synthetic.hpp"
 
 namespace rb {
@@ -437,6 +440,50 @@ TEST_F(ElementsTest, QueueDropsWhenFull) {
     out.Clear();
   }
   EXPECT_EQ(pool_.available(), pool_.capacity());
+}
+
+// ToDevice reads latency out once per run of equal ingress stamps. Fed the
+// same bursts, it must fill exactly the buckets a per-packet readout
+// fills: runs of every length, unstamped packets (stamp 0) between and
+// at the ends of runs, a stamp that recurs after another, and a burst
+// of one.
+TEST(ToDeviceTest, RunReadoutMatchesPerPacketReference) {
+  PacketPool pool(64);
+  std::vector<Packet*> pkts(64);
+  ASSERT_EQ(pool.AllocBulk(pkts.data(), pkts.size()), pkts.size());
+  telemetry::LatencyHistogram runs;
+  telemetry::LatencyHistogram reference;
+  const uint64_t ns_per_cycle_q32 = static_cast<uint64_t>(0.47 * 4294967296.0);
+  Rng rng(5);
+  uint64_t now = 1'000'000;
+  for (int burst = 0; burst < 200; ++burst) {
+    const size_t n = burst == 0 ? 1 : 1 + rng.NextBounded(pkts.size());
+    uint64_t stamp = now - rng.NextBounded(100'000);
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t pick = rng.NextBounded(8);
+      if (pick == 0) {
+        stamp = now - rng.NextBounded(100'000);  // a new run
+      } else if (pick == 1) {
+        stamp = now - 7;  // recurs across runs
+      }
+      pkts[i]->set_ingress_cycles(rng.NextBounded(6) == 0 ? 0 : stamp);
+    }
+    ToDevice::ObserveLatency(&runs, pkts.data(), n, now, ns_per_cycle_q32);
+    for (size_t i = 0; i < n; ++i) {
+      if (pkts[i]->ingress_cycles() != 0) {
+        reference.ObserveNs(static_cast<uint64_t>(
+            (static_cast<__uint128_t>(now - pkts[i]->ingress_cycles()) * ns_per_cycle_q32) >>
+            32));
+      }
+    }
+    now += 1 + rng.NextBounded(50'000);
+  }
+  const telemetry::LatencySnapshot got = runs.Snapshot();
+  const telemetry::LatencySnapshot want = reference.Snapshot();
+  EXPECT_GT(want.count, 0u);
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.counts, want.counts);
+  pool.FreeBulk(pkts.data(), pkts.size());
 }
 
 }  // namespace

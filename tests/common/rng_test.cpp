@@ -126,7 +126,7 @@ TEST(RngTest, BoolProbability) {
 
 TEST(RngTest, WeightedSamplingFollowsWeights) {
   Rng rng(31);
-  std::vector<double> weights = {1.0, 3.0, 6.0};
+  const CumulativeWeights weights({1.0, 3.0, 6.0});
   std::vector<int> counts(3, 0);
   const int n = 100000;
   for (int i = 0; i < n; ++i) {

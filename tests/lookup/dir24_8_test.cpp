@@ -19,9 +19,27 @@ uint32_t Ip(const char* s) {
   return a;
 }
 
+// tbl24 is never cleared: an unloaded table, and one loaded from an empty
+// list, read kNoRoute in every slot because the kernel zeroed them.
 TEST(Dir24_8Test, EmptyReturnsNoRoute) {
-  Dir24_8 t;
-  EXPECT_EQ(t.Lookup(Ip("1.2.3.4")), LpmTable::kNoRoute);
+  Dir24_8 unloaded;
+  EXPECT_EQ(unloaded.Lookup(Ip("1.2.3.4")), LpmTable::kNoRoute);
+  Dir24_8 empty;
+  empty.InsertAll({});
+  EXPECT_EQ(empty.size(), 0u);
+  std::vector<uint32_t> addrs(4096);
+  std::vector<uint32_t> hops(addrs.size());
+  for (uint64_t slot = 0; slot < (uint64_t{1} << 24); slot += addrs.size()) {
+    for (size_t i = 0; i < addrs.size(); ++i) {
+      addrs[i] = static_cast<uint32_t>(((slot + i) << 8) | (i & 0xff));
+    }
+    for (const Dir24_8* t : {&unloaded, &empty}) {
+      t->LookupBatch(addrs.data(), hops.data(), addrs.size());
+      for (size_t i = 0; i < hops.size(); ++i) {
+        ASSERT_EQ(hops[i], LpmTable::kNoRoute) << Ipv4ToString(addrs[i]);
+      }
+    }
+  }
 }
 
 TEST(Dir24_8Test, ShortPrefixFillsRange) {

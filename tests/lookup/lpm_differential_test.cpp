@@ -117,6 +117,96 @@ TEST(LpmDifferentialTest, ReplacementAndShadowedInsertOrderAgree) {
   ExpectAllAgree(dut, ref, probes);
 }
 
+// Builds both structures from `routes` and checks that they agree on
+// every route's edges and on random addresses, and count the same routes.
+void ExpectSameTable(const std::vector<RouteEntry>& routes, uint64_t seed) {
+  Dir24_8 dut;
+  RadixTrie ref;
+  dut.InsertAll(routes);
+  ref.InsertAll(routes);
+  ASSERT_EQ(dut.size(), ref.size());
+  std::vector<uint32_t> probes = {0u, 255u, 256u, 0xffffff00u, 0xfffffffeu, 0xffffffffu};
+  for (const RouteEntry& r : routes) {
+    for (uint32_t a : EdgeProbes(r)) {
+      probes.push_back(a);
+    }
+  }
+  Rng rng(seed);
+  for (int i = 0; i < 4000; ++i) {
+    probes.push_back(static_cast<uint32_t>(rng.Next()));
+  }
+  ExpectAllAgree(dut, ref, probes);
+}
+
+// The cases the address-order build handles at its edges: the sweep's
+// first and last slot, its stack of open prefixes at its deepest and at
+// the end of the address space, repeated entries, segments seeded under
+// every covering length, and lists too long for a narrow index field.
+TEST(LpmDifferentialTest, AddressOrderBuildEdgeCases) {
+  {
+    SCOPED_TRACE("empty list");
+    ExpectSameTable({}, 1);
+  }
+  {
+    SCOPED_TRACE("a /0 alone, and under /8 and /32 routes");
+    ExpectSameTable({{0, 0, 3}}, 2);
+    ExpectSameTable({{0x0a000000u, 8, 4}, {0, 0, 3}, {0x0a000001u, 32, 5}}, 3);
+  }
+  {
+    SCOPED_TRACE("one prefix/length listed three times, other routes between");
+    for (uint8_t length : {uint8_t{0}, uint8_t{16}, uint8_t{24}, uint8_t{28}}) {
+      const uint32_t prefix = NormalizePrefix(0x0a0102c0u, length);
+      ExpectSameTable({{prefix, length, 7},
+                       {0x0a000000u, 8, 1},
+                       {prefix | 1, length, 8},
+                       {0x0a0102f0u, 30, 2},
+                       {prefix, length, 9}},
+                      4 + length);
+    }
+  }
+  {
+    SCOPED_TRACE("nested runs ending at 2^24: one prefix of each length 1..32 at the top");
+    std::vector<RouteEntry> routes;
+    for (uint8_t length = 1; length <= 32; ++length) {
+      routes.push_back({0xffffffffu, length, length});
+    }
+    ExpectSameTable(routes, 5);
+    routes.push_back({0, 0, 99});
+    ExpectSameTable(routes, 6);
+  }
+  {
+    SCOPED_TRACE("/32s at 0.0.0.0 and 255.255.255.255");
+    ExpectSameTable({{0, 32, 1}, {0xffffffffu, 32, 2}}, 7);
+    ExpectSameTable({{0xffffffffu, 32, 2}, {0, 0, 3}, {0, 32, 1}, {0xff000000u, 8, 4}}, 8);
+  }
+  {
+    SCOPED_TRACE("a /24 with all its /25-/32 children");
+    std::vector<RouteEntry> routes = {{0x0a010200u, 24, 1}, {0x0a000000u, 8, 2}};
+    uint32_t hop = 3;
+    for (uint8_t length = 25; length <= 32; ++length) {
+      for (uint32_t host = 0; host < 256; host += 1u << (32 - length)) {
+        routes.push_back({0x0a010200u | host, length, hop++ % 40 + 3});
+      }
+    }
+    ExpectSameTable(routes, 9);
+    Dir24_8 dut;
+    dut.InsertAll(routes);
+    EXPECT_EQ(dut.num_long_segments(), 1u);
+  }
+  {
+    SCOPED_TRACE("more than 2^18 routes, one repeated across the 2^18th entry");
+    TableGenConfig cfg;
+    cfg.num_routes = (size_t{1} << 18) + 4096;
+    cfg.num_next_hops = 40;
+    cfg.seed = 11;
+    std::vector<RouteEntry> routes = GenerateRoutingTable(cfg);
+    RouteEntry repeated = routes[5];
+    repeated.next_hop = repeated.next_hop % 40 + 1;  // a different hop, listed last
+    routes.push_back(repeated);
+    ExpectSameTable(routes, 10);
+  }
+}
+
 class LpmDifferentialRandomTables : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(LpmDifferentialRandomTables, GeneratedTableBatchAgreesEverywhere) {

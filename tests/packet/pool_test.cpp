@@ -317,5 +317,33 @@ TEST(PoolTest, AllPacketsDistinct) {
   }
 }
 
+// The pool never writes packet buffers: a fresh one reads zero because the
+// kernel zeroed its pages, as the value-initialized pool used to leave it.
+// Frames sized with SetLength alone carry that zero payload, and a
+// payload-clean BulkInjector keeps it zero between fills. Both a pool
+// under 2 MiB and one on 2 MiB pages with a 4 KiB-page tail are checked,
+// along with each packet's metadata defaults.
+TEST(PoolTest, FreshBuffersReadZero) {
+  for (size_t capacity : {size_t{3}, size_t{1000}}) {
+    PacketPool pool(capacity);
+    std::vector<Packet*> all(capacity);
+    ASSERT_EQ(pool.AllocBulk(all.data(), capacity), capacity);
+    for (Packet* p : all) {
+      EXPECT_EQ(p->length(), 0u);
+      EXPECT_EQ(p->headroom(), Packet::kDefaultHeadroom);
+      EXPECT_EQ(p->output_node(), Packet::kNoNode);
+      EXPECT_EQ(p->ingress_cycles(), 0u);
+      EXPECT_EQ(p->origin_pool(), &pool);
+      const uint8_t* buf = p->data() - p->headroom();
+      size_t nonzero = 0;
+      for (uint32_t i = 0; i < Packet::kMaxCapacity; ++i) {
+        nonzero += buf[i] != 0;
+      }
+      ASSERT_EQ(nonzero, 0u) << "packet " << pool.SlotIndex(p) << " of " << capacity;
+    }
+    pool.FreeBulk(all.data(), capacity);
+  }
+}
+
 }  // namespace
 }  // namespace rb
