@@ -1,45 +1,30 @@
 #include "common/page_buffer.hpp"
 
 #include <sys/mman.h>
-#include <unistd.h>
 
 #include <cstdint>
 
 #include "common/log.hpp"
 
 namespace rb {
-namespace {
-
-size_t RoundUp(size_t n, size_t to) { return (n + to - 1) / to * to; }
-
-void* MapOrDie(size_t bytes) {
-  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  RB_CHECK_MSG(p != MAP_FAILED, "PageBuffer: mmap failed");
-  return p;
-}
-
-}  // namespace
 
 PageBuffer::PageBuffer(size_t bytes) : size_(bytes) {
   if (bytes == 0) {
     return;
   }
-  mapped_ = RoundUp(bytes, static_cast<size_t>(sysconf(_SC_PAGESIZE)));
-  if (bytes < kHugePageBytes) {
-    data_ = MapOrDie(mapped_);
+  // A buffer that holds a huge page is over-mapped by one, so that it can
+  // start on a 2 MiB boundary. The unused head and tail are never touched
+  // and cost address space only.
+  const bool huge = bytes >= kHugePageBytes;
+  span_ = huge ? bytes + kHugePageBytes : bytes;
+  raw_ = mmap(nullptr, span_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  RB_CHECK_MSG(raw_ != MAP_FAILED, "PageBuffer: mmap failed");
+  if (!huge) {
+    data_ = raw_;
     return;
   }
-  // Over-map by one huge page, then unmap the head and tail around the
-  // first 2 MiB boundary, so the buffer starts on one.
-  const size_t span = mapped_ + kHugePageBytes;
-  const uintptr_t raw = reinterpret_cast<uintptr_t>(MapOrDie(span));
-  const uintptr_t start = RoundUp(raw, kHugePageBytes);
-  if (start > raw) {
-    munmap(reinterpret_cast<void*>(raw), start - raw);
-  }
-  if (raw + span > start + mapped_) {
-    munmap(reinterpret_cast<void*>(start + mapped_), raw + span - (start + mapped_));
-  }
+  const uintptr_t start = (reinterpret_cast<uintptr_t>(raw_) + kHugePageBytes - 1) &
+                          ~(uintptr_t{kHugePageBytes} - 1);
   data_ = reinterpret_cast<void*>(start);
 #ifdef MADV_HUGEPAGE
   // Advice only: a kernel without huge pages leaves the buffer as it is.
@@ -49,7 +34,7 @@ PageBuffer::PageBuffer(size_t bytes) : size_(bytes) {
 
 PageBuffer::~PageBuffer() {
   if (data_ != nullptr) {
-    munmap(data_, mapped_);
+    munmap(raw_, span_);
   }
 }
 

@@ -41,7 +41,8 @@ class PageBuffer {
  private:
   void* data_ = nullptr;
   size_t size_ = 0;
-  size_t mapped_ = 0;  // size_ rounded up to whole 4 KiB pages
+  void* raw_ = nullptr;  // the mapping that holds the buffer
+  size_t span_ = 0;
 };
 
 }  // namespace rb
